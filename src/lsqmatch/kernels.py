@@ -1,27 +1,15 @@
-"""Hot numerical kernels, compiled with numba when available.
+"""The two hot loops: cyclic-Jacobi sweeps and the recurrent inversion.
 
-Two loops dominate this package's runtime: the cyclic-Jacobi sweeps of the
-symmetric eigensolver and the recurrent inversion process.  Both are provided
-in two interchangeable flavours:
-
-* a scalar/loop implementation compiled with ``numba.njit`` (default), and
-* a pure-numpy fallback with identical per-element arithmetic.
-
-Set the environment variable ``LSQMATCH_DISABLE_NUMBA=1`` before import to
-force the numpy path (the fallback is also selected automatically when numba
-is not installed).  ``USING_NUMBA`` reports which path is active, and the
-``*_numpy`` / ``*_numba`` names stay importable for side-by-side benchmarks
-(see ``benchmarks/kernel_bench.py``).
+``jacobi_sweeps`` backs the full eigendecomposition ``linalg.symmetric_eigen``,
+which tests use as the reference spectrum; ``newton_schulz`` is the inversion
+recurrence behind ``inverter.invert``.  Both are plain numpy.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-DISABLE_ENV = "LSQMATCH_DISABLE_NUMBA"
 
 # Inversion kernel status codes.
 CONVERGED = 0
@@ -30,63 +18,12 @@ DIVERGED = 2
 NONFINITE = 3
 
 
-def _env_disabled() -> bool:
-    return os.environ.get(DISABLE_ENV, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-def _jacobi_sweeps_loops(a, q, tol, max_sweeps):
+def jacobi_sweeps(a, q, tol, max_sweeps):
     """Cyclic Jacobi rotations on symmetric ``a``, accumulating rotations in ``q``.
 
     Mutates both arguments.  Returns ``(sweeps_done, max_offdiag)``; the caller
     decides whether a leftover off-diagonal above ``tol`` is an error.
     """
-    n = a.shape[0]
-    sweeps = 0
-    while True:
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                v = abs(a[i, j])
-                if v > off:
-                    off = v
-        if off < tol or sweeps == max_sweeps:
-            return sweeps, off
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apq = a[p, r]
-                if apq == 0.0:
-                    continue
-                app = a[p, p]
-                aqq = a[r, r]
-                theta = (aqq - app) / (2.0 * apq)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                for k in range(n):
-                    if k != p and k != r:
-                        akp = a[k, p]
-                        akq = a[k, r]
-                        a[k, p] = c * akp - s * akq
-                        a[p, k] = a[k, p]
-                        a[k, r] = s * akp + c * akq
-                        a[r, k] = a[k, r]
-                a[p, p] = app - t * apq
-                a[r, r] = aqq + t * apq
-                a[p, r] = 0.0
-                a[r, p] = 0.0
-                for k in range(n):
-                    qkp = q[k, p]
-                    qkq = q[k, r]
-                    q[k, p] = c * qkp - s * qkq
-                    q[k, r] = s * qkp + c * qkq
-        sweeps += 1
-
-
-def _jacobi_sweeps_numpy(a, q, tol, max_sweeps):
-    """Vectorized twin of :func:`_jacobi_sweeps_loops` (same arithmetic)."""
     n = a.shape[0]
     iu = np.triu_indices(n, 1)
     sweeps = 0
@@ -127,7 +64,7 @@ def _jacobi_sweeps_numpy(a, q, tol, max_sweeps):
         sweeps += 1
 
 
-def _newton_schulz_impl(a, eps, max_iter):
+def newton_schulz(a, eps, max_iter):
     """Recurrent inversion: V0 = I; U = 2I - V A; V <- U V.
 
     The residual max|I - V_t A| is read off each computed U as max|U - I|.
@@ -158,31 +95,3 @@ def _newton_schulz_impl(a, eps, max_iter):
             grow = 0
         prev = r
         v = np.dot(u, v)
-    return v, history, max_iter, HIT_CAP  # unreachable; keeps return type uniform
-
-
-jacobi_sweeps_numpy = _jacobi_sweeps_numpy
-newton_schulz_numpy = _newton_schulz_impl
-
-jacobi_sweeps_numba = None
-newton_schulz_numba = None
-
-HAVE_NUMBA = False
-if not _env_disabled():
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        HAVE_NUMBA = False
-
-if HAVE_NUMBA:
-    jacobi_sweeps_numba = njit(cache=True)(_jacobi_sweeps_loops)
-    newton_schulz_numba = njit(cache=True)(_newton_schulz_impl)
-    jacobi_sweeps = jacobi_sweeps_numba
-    newton_schulz = newton_schulz_numba
-    USING_NUMBA = True
-else:
-    jacobi_sweeps = jacobi_sweeps_numpy
-    newton_schulz = newton_schulz_numpy
-    USING_NUMBA = False

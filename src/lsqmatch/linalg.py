@@ -1,4 +1,10 @@
-"""Dense matrix primitives: products, norms, and a cyclic-Jacobi eigensolver.
+"""Dense matrix primitives: products, norms, and two symmetric eigensolvers.
+
+``extreme_eigenvalues`` gives the smallest and largest eigenvalue by
+Householder tridiagonalization and Sturm-sequence multisection; it is what
+the scale factors, the diagnostics and the benchmark's kappa use.
+``symmetric_eigen`` is the full cyclic-Jacobi decomposition, kept as the
+reference for eigenvectors and the whole spectrum.
 
 Matrices are plain 2-D float64 numpy arrays.  ``as_matrix`` / ``symmetrize``
 are the validating constructors: every public entry point of the package
@@ -8,6 +14,7 @@ assume finite, well-shaped input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +26,9 @@ MAX_JACOBI_SWEEPS = 100
 
 #: Default absolute threshold on the largest off-diagonal entry.
 DEFAULT_EIG_TOL = 1e-12
+
+#: Shifts placed inside each bracket per Sturm multisection step.
+MULTISECTION_SHIFTS = 63
 
 #: Absolute tolerance under which an almost-symmetric matrix is symmetrized
 #: rather than rejected.
@@ -124,7 +134,7 @@ def scaled_eig_tol(a) -> float:
 
     An absolute threshold cannot be met by matrices with large entries (the
     rotations keep reintroducing rounding noise at ``eps * max|a|`` scale), so
-    internal callers scale the default by the largest entry.
+    callers of :func:`symmetric_eigen` scale the default by the largest entry.
     """
     return DEFAULT_EIG_TOL * max(1.0, entrywise_max_abs(a))
 
@@ -149,12 +159,120 @@ def symmetric_eigen(a, tol: float = DEFAULT_EIG_TOL) -> EigenDecomposition:
     return EigenDecomposition(values=values[order], vectors=q[:, order])
 
 
+def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of a tridiagonal matrix similar to symmetric ``a``.
+
+    Householder reduction (Golub & Van Loan, Algorithm 8.3.1), overwriting
+    ``a``.  Expects max|a| below 1, so no inner product can overflow.
+    """
+    n = a.shape[0]
+    e = np.zeros(n - 1)
+    # A column whose part below the subdiagonal has norm under the unit
+    # roundoff (of a matrix scaled to max|a| < 1) is left as it is: dropping
+    # it moves no eigenvalue by more than rounding already does, and it keeps
+    # 2 / v'v finite.
+    negligible = np.finfo(np.float64).epsneg ** 2
+    for k in range(n - 2):
+        x = a[k + 1 :, k]
+        sigma = float(x[1:] @ x[1:])
+        if sigma <= negligible:
+            e[k] = x[0]
+            continue
+        x0 = float(x[0])
+        norm = math.sqrt(x0 * x0 + sigma)
+        alpha = -norm if x0 >= 0.0 else norm
+        v0 = x0 - alpha
+        v = x.copy()
+        v[0] = v0
+        beta = 2.0 / (v0 * v0 + sigma)
+        sub = a[k + 1 :, k + 1 :]
+        p = beta * (sub @ v)
+        w = p - (0.5 * beta * float(p @ v)) * v
+        sub -= v[:, None] * w + w[:, None] * v
+        e[k] = alpha
+    if n > 1:
+        e[n - 2] = a[n - 1, n - 2]
+    return np.diag(a).copy(), e
+
+
+def _sturm_counts(d: np.ndarray, e2: np.ndarray, pivmin: float, shifts: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues of the tridiagonal (d, e**2) below each shift.
+
+    Counts the negative pivots of the LDL' factorization of T - shift I.  A
+    pivot smaller than ``pivmin`` in magnitude is replaced by ``-pivmin``, as
+    LAPACK's dstebz does, so that the next quotient cannot overflow; a zero
+    off-diagonal (a split tridiagonal) needs no special case.
+    """
+    rows = d[:, None] - shifts
+    negative = np.empty(rows.shape, dtype=bool)
+    q = rows[0].copy()
+    for i in range(len(d)):
+        if i:
+            np.divide(e2[i - 1], q, out=q)
+            np.subtract(rows[i], q, out=q)
+        # After the floor, a pivot is negative exactly when it was below pivmin.
+        np.less(q, pivmin, out=negative[i])
+        np.minimum(q, -pivmin, out=q, where=negative[i])
+    return negative.sum(axis=0)
+
+
+def extreme_eigenvalues(z) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of a symmetric matrix, ``(low, high)``.
+
+    Reduces ``z`` to tridiagonal form by Householder reflections, then
+    narrows a bracket around each end of the spectrum by Sturm-sequence
+    multisection, starting from the tridiagonal's Gershgorin interval, until
+    it is 2 eps wide relative to its ends or unit-roundoff wide relative to
+    the norm, the accuracy the reduction itself has (the tolerances of
+    LAPACK's dstebz).  Indefinite matrices are fine.  Rejects the same
+    asymmetric input as :func:`symmetrize`.
+    """
+    s = symmetrize(z)
+    n = s.shape[0]
+    top = float(np.abs(s).max())
+    if top == 0.0:
+        return 0.0, 0.0
+    # A power-of-two scale keeps max|a| in [0.5, 1) and is undone exactly.
+    scale = math.ldexp(1.0, math.frexp(top)[1])
+    d, e = _tridiagonalize(s / scale)
+    e2 = e * e
+    eps = np.finfo(np.float64).eps
+    pivmin = np.finfo(np.float64).tiny * max(1.0, float(e2.max(initial=0.0)))
+    abs_e = np.abs(e)
+    radius = np.r_[0.0, abs_e] + np.r_[abs_e, 0.0]
+    lo, hi = float((d - radius).min()), float((d + radius).max())
+    tnorm = max(abs(lo), abs(hi))
+    pad = 2.0 * n * eps * tnorm + 4.0 * pivmin
+    floor = max(0.5 * eps * tnorm, pivmin)
+    # Rows: the bracket holding the smallest eigenvalue, then the largest.
+    # The low end of a bracket has fewer than ``target`` eigenvalues below it,
+    # the high end at least ``target``.
+    brackets = np.array([[lo - pad, hi + pad], [lo - pad, hi + pad]])
+    target = np.array([[1], [n]])
+    steps = np.arange(1, MULTISECTION_SHIFTS + 1) / (MULTISECTION_SHIFTS + 1)
+    while True:
+        lows, highs = brackets[:, 0], brackets[:, 1]
+        width = highs - lows
+        tol = np.maximum(2.0 * eps * np.maximum(np.abs(lows), np.abs(highs)), floor)
+        if np.all(width <= tol):
+            break
+        shifts = lows[:, None] + width[:, None] * steps
+        below = _sturm_counts(d, e2, pivmin, shifts.ravel()).reshape(shifts.shape) < target
+        k = below.sum(axis=1)
+        for row in range(2):
+            if k[row]:
+                brackets[row, 0] = shifts[row, k[row] - 1]
+            if k[row] < MULTISECTION_SHIFTS:
+                brackets[row, 1] = shifts[row, k[row]]
+    mid = brackets.mean(axis=1) * scale
+    return float(mid[0]), float(mid[1])
+
+
 def spectral_norm(a) -> float:
     """Largest absolute eigenvalue of a symmetric matrix.
 
     Rejects inputs whose asymmetry exceeds ``SYMMETRY_TOL``; every residual
     this package feeds in is symmetric by construction.
     """
-    s = symmetrize(a)
-    eig = symmetric_eigen(s, tol=scaled_eig_tol(s))
-    return float(np.abs(eig.values).max())
+    low, high = extreme_eigenvalues(a)
+    return max(-low, high)

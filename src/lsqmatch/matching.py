@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .inverter import InversionConfig, InversionReport, invert
-from .linalg import as_matrix, frobenius_distance, gram, multiply, symmetric_eigen, scaled_eig_tol, transpose_multiply
+from .linalg import as_matrix, extreme_eigenvalues, frobenius_distance, gram, multiply, transpose_multiply
 from .scaling import (
     ScaleFactorKind,
     alpha_optimal_bounds,
@@ -72,8 +72,7 @@ def _scale_factor(z, kind: ScaleFactorKind) -> float:
         return alpha_trace_value(z)
     if kind is ScaleFactorKind.GERSHGORIN:
         return alpha_gershgorin_value(z)
-    eig = symmetric_eigen(z, tol=scaled_eig_tol(z))
-    return alpha_optimal_bounds(float(eig.values[0]), float(eig.values[-1])).alpha
+    return alpha_optimal_bounds(*extreme_eigenvalues(z)).alpha
 
 
 def solve_transform(x, m, config: PipelineConfig | None = None) -> MatchResult:

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    EigenDecomposition,
-    infinity_norm,
-    scaled_eig_tol,
-    symmetric_eigen,
-    symmetrize,
-)
+from .linalg import EigenDecomposition, extreme_eigenvalues, infinity_norm, symmetrize
 
 
 class ScaleFactorKind(enum.Enum):
@@ -102,18 +96,16 @@ def alpha_gershgorin_value(z) -> float:
 
 
 def _diagnosed(z, alpha: float, kind: ScaleFactorKind) -> ScaleDiagnostics:
-    z = symmetrize(z)
-    eig = symmetric_eigen(z, tol=scaled_eig_tol(z))
-    return _diagnostics(alpha, kind, float(eig.values[0]), float(eig.values[-1]))
+    return _diagnostics(alpha, kind, *extreme_eigenvalues(z))
 
 
 def alpha_trace(z) -> ScaleDiagnostics:
-    """Trace-based factor with eigensolver-backed diagnostics."""
+    """Trace-based factor with diagnostics from the extreme eigenvalues."""
     return _diagnosed(z, alpha_trace_value(z), ScaleFactorKind.TRACE)
 
 
 def alpha_gershgorin(z) -> ScaleDiagnostics:
-    """Gershgorin/diagonal factor with eigensolver-backed diagnostics."""
+    """Gershgorin/diagonal factor with diagnostics from the extreme eigenvalues."""
     return _diagnosed(z, alpha_gershgorin_value(z), ScaleFactorKind.GERSHGORIN)
 
 

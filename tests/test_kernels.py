@@ -1,13 +1,6 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 import lsqmatch.kernels as kernels
-from lsqmatch.generate import MoreToraldoSpec, more_toraldo, uniform_pattern
-from lsqmatch.linalg import gram
 
 
 def test_status_codes_distinct():
@@ -17,7 +10,7 @@ def test_status_codes_distinct():
 
 def test_numpy_newton_schulz_basic():
     a = 0.5 * np.eye(3)
-    v, hist, iters, status = kernels.newton_schulz_numpy(a, 1e-6, 200)
+    v, hist, iters, status = kernels.newton_schulz(a, 1e-6, 200)
     assert status == kernels.CONVERGED
     assert iters == 5
     assert hist.shape == (6,)
@@ -27,64 +20,16 @@ def test_numpy_newton_schulz_basic():
 def test_numpy_jacobi_basic():
     a = np.array([[5.0, 2.0], [2.0, 5.0]])
     q = np.eye(2)
-    sweeps, off = kernels.jacobi_sweeps_numpy(a, q, 1e-12, 100)
+    sweeps, off = kernels.jacobi_sweeps(a, q, 1e-12, 100)
     assert off < 1e-12
     assert sweeps >= 1
     vals = np.sort(np.diag(a))
     assert np.abs(vals - np.array([3.0, 7.0])).max() < 1e-12
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-def test_newton_schulz_paths_agree():
-    _, z = more_toraldo(MoreToraldoSpec(12, 80.0), 3131)
-    a = 2.0 / np.trace(z) * z
-    v_np, h_np, it_np, st_np = kernels.newton_schulz_numpy(a, 1e-6, 200)
-    v_nb, h_nb, it_nb, st_nb = kernels.newton_schulz_numba(a, 1e-6, 200)
-    assert (it_np, st_np) == (it_nb, st_nb)
-    assert np.abs(v_np - v_nb).max() < 1e-12
-    assert np.abs(h_np - h_nb).max() < 1e-12
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-def test_jacobi_paths_agree():
-    z = gram(uniform_pattern(24, 8, 3232))
-    a1, q1 = z.copy(), np.eye(8)
-    a2, q2 = z.copy(), np.eye(8)
-    s1, off1 = kernels.jacobi_sweeps_numpy(a1, q1, 1e-12, 100)
-    s2, off2 = kernels.jacobi_sweeps_numba(a2, q2, 1e-12, 100)
-    assert off1 < 1e-12 and off2 < 1e-12
-    v1 = np.sort(np.diag(a1))
-    v2 = np.sort(np.diag(a2))
-    assert np.abs(v1 - v2).max() < 1e-11 * max(1.0, np.abs(v1).max())
-
-
-def test_selected_path_matches_flag():
-    if kernels.USING_NUMBA:
-        assert kernels.newton_schulz is kernels.newton_schulz_numba
-        assert kernels.jacobi_sweeps is kernels.jacobi_sweeps_numba
-    else:
-        assert kernels.newton_schulz is kernels.newton_schulz_numpy
-        assert kernels.jacobi_sweeps is kernels.jacobi_sweeps_numpy
-
-
-def test_disable_flag_forces_numpy_path():
-    code = (
-        "import lsqmatch.kernels as k; "
-        "print(k.USING_NUMBA, k.newton_schulz is k.newton_schulz_numpy)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, kernels.DISABLE_ENV: "1"},
-        check=True,
-    )
-    assert out.stdout.split() == ["False", "True"]
-
-
 def test_divergence_status():
     a = 3.0 * np.eye(4)
-    _, hist, iters, status = kernels.newton_schulz_numpy(a, 1e-6, 200)
+    _, hist, iters, status = kernels.newton_schulz(a, 1e-6, 200)
     assert status == kernels.DIVERGED
     assert iters == 3
     assert list(hist) == [2.0, 4.0, 16.0, 256.0]
@@ -92,14 +37,14 @@ def test_divergence_status():
 
 def test_nonfinite_status():
     a = 1e200 * np.eye(2)
-    _, _, iters, status = kernels.newton_schulz_numpy(a, 1e-6, 200)
+    _, _, iters, status = kernels.newton_schulz(a, 1e-6, 200)
     assert status == kernels.NONFINITE
     assert iters == 1
 
 
 def test_cap_status():
     a = 0.5 * np.eye(2)
-    _, hist, iters, status = kernels.newton_schulz_numpy(a, 1e-300, 3)
+    _, hist, iters, status = kernels.newton_schulz(a, 1e-300, 3)
     assert status == kernels.HIT_CAP
     assert iters == 3
     assert hist.shape == (4,)

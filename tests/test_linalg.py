@@ -151,6 +151,72 @@ def test_gershgorin_and_diagonal_bounds():
         assert eig.values[0] <= float(np.diag(z).min()) * (1 + 1e-12)
 
 
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def _assert_extremes(z, low, high):
+    """Within 4 n u ||Z|| of the given extremes: the backward error of the reduction."""
+    n = z.shape[0]
+    got_low, got_high = la.extreme_eigenvalues(z)
+    bound = 4.0 * n * UNIT_ROUNDOFF * max(abs(low), abs(high))
+    assert abs(got_low - low) <= bound
+    assert abs(got_high - high) <= bound
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 2, 4, 16, 32, 64])
+@pytest.mark.parametrize("ratio", [1, 2, 8])
+def test_extreme_eigenvalues_uniform_gram(n, ratio):
+    for seed in range(3):
+        z = la.gram(uniform_pattern(ratio * n, n, 1000 * n + 10 * ratio + seed))
+        w = np.linalg.eigvalsh(z)
+        _assert_extremes(z, w[0], w[-1])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("log2_kappa", [0, 1, 5, 10, 20])
+@pytest.mark.parametrize("n", [2, 8, 32, 64])
+def test_extreme_eigenvalues_conditioned_ladder(n, log2_kappa):
+    """The mt ladder runs from 1 to kappa in closed form."""
+    kappa = 2.0**log2_kappa
+    _, z = more_toraldo(MoreToraldoSpec(n, kappa), 4242 + n)
+    _assert_extremes(z, 1.0, kappa)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_extreme_eigenvalues_structured():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((40, 40))
+    q = la.gram(rng.standard_normal((30, 30)))
+    basis = np.linalg.eigh(q)[1]
+    cases = [
+        np.array([[3.5]]),
+        np.array([[-2.0]]),
+        np.zeros((4, 4)),
+        np.eye(5),
+        np.diag([3.0, -1.0, 2.0, 0.0]),
+        np.diag([2.0, 2.0, 2.0, 5.0, 5.0]),
+        # Zero off-diagonals split the tridiagonal into blocks.
+        np.block([[np.array([[2.0, 1.0], [1.0, 2.0]]), np.zeros((2, 2))],
+                  [np.zeros((2, 2)), np.array([[7.0, 0.5], [0.5, -3.0]])]]),
+        la.symmetrize((basis * np.repeat([1.0, 4.0, 9.0], 10)) @ basis.T),
+        a + a.T,
+        -la.gram(rng.standard_normal((20, 10))),
+        1e-200 * np.array([[2.0, 1.0], [1.0, 2.0]]),
+        1e200 * np.array([[2.0, 1.0], [1.0, 2.0]]),
+    ]
+    for z in cases:
+        w = np.linalg.eigvalsh(z)
+        _assert_extremes(z, w[0], w[-1])
+
+
+def test_extreme_eigenvalues_rejects_asymmetric():
+    with pytest.raises(ValueError, match="not symmetric"):
+        la.extreme_eigenvalues(np.array([[1.0, 2.0], [2.1, 3.0]]))
+    with pytest.raises(ValueError, match="square"):
+        la.extreme_eigenvalues(np.ones((2, 3)))
+
+
 def test_entrywise_below_spectral():
     for seed in (12, 13):
         z = _random_spd(5, seed)
