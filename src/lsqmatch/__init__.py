@@ -42,6 +42,7 @@ from .linalg import (
     transpose_multiply,
 )
 from .matching import (
+    InversionStalledError,
     MatchResult,
     PipelineConfig,
     SingularSystemError,
@@ -76,6 +77,7 @@ __all__ = [
     "ScaleDiagnostics",
     "ScaleFactorKind",
     "SingularSystemError",
+    "InversionStalledError",
     "SplitMix64",
     "alpha_gershgorin",
     "alpha_gershgorin_value",

@@ -47,7 +47,9 @@ class InversionReport:
     """Outcome of one inversion run.
 
     ``iterations`` counts (U, V) update pairs actually applied;
-    ``residual_history[t]`` is max|I - V_t A| for t = 0 .. iterations.
+    ``residual_history[t]`` is max|I - V_t A| for t = 0 .. iterations;
+    ``stalled`` marks a run stopped because the residual stopped falling at
+    or above 1.
     """
 
     inverse: np.ndarray
@@ -55,6 +57,7 @@ class InversionReport:
     residual_history: np.ndarray = field(repr=False)
     converged: bool
     final_residual: float
+    stalled: bool
 
 
 def invert(a, cfg: InversionConfig | None = None) -> InversionReport:
@@ -62,9 +65,14 @@ def invert(a, cfg: InversionConfig | None = None) -> InversionReport:
 
     The caller is responsible for rescaling so the spectrum of ``a`` lies in
     (0, 2).  Stops at the smallest t >= 0 with max|I - V_t A| < epsilon (the
-    t = 0 test checks I - A itself); a residual that grows three iterations
-    in a row above 1 aborts early with ``converged=False``; non-finite
-    iterates raise :class:`DivergenceError`.
+    t = 0 test checks I - A itself).  A residual at or above 1 that has not
+    dropped for three iterations in a row aborts early with
+    ``converged=False``: with ``stalled=True`` unless it grew above 1 in each
+    of them (divergence).  A residual at or above 1 means A has an eigenvalue
+    outside (0, 2), where the recurrence cannot converge, for example a
+    single-column Gram matrix under the trace scale factor, whose rescaled
+    eigenvalue is exactly 2.  Non-finite iterates raise
+    :class:`DivergenceError`.
     """
     if cfg is None:
         cfg = InversionConfig()
@@ -80,6 +88,7 @@ def invert(a, cfg: InversionConfig | None = None) -> InversionReport:
         residual_history=history,
         converged=status == kernels.CONVERGED,
         final_residual=float(history[-1]),
+        stalled=status == kernels.STALLED,
     )
 
 

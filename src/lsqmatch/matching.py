@@ -27,6 +27,14 @@ class SingularSystemError(RuntimeError):
     """The normal equations cannot be inverted (rank-deficient or non-PD input)."""
 
 
+class InversionStalledError(RuntimeError):
+    """The scale factor put the largest eigenvalue of alpha * X'X at 2 or above.
+
+    The residual then stays at or above 1, so the recurrence cannot converge,
+    although another scale factor may solve the same system.
+    """
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """How to scale, invert, and cost a matching run."""
@@ -80,8 +88,10 @@ def solve_transform(x, m, config: PipelineConfig | None = None) -> MatchResult:
 
     ``x`` is the source pattern (rows are observations), ``m`` the target with
     the same row count; ``x`` must have at least as many rows as columns.
-    Raises :class:`SingularSystemError` when the Gram matrix is not positive
-    definite or the inversion fails to converge.
+    Raises :class:`InversionStalledError` when the inversion stalls because
+    the chosen scale factor puts an eigenvalue of alpha * X'X at 2 or above,
+    and :class:`SingularSystemError` when the Gram matrix is not positive
+    definite or the inversion fails to converge otherwise.
     """
     if config is None:
         config = PipelineConfig()
@@ -103,6 +113,17 @@ def solve_transform(x, m, config: PipelineConfig | None = None) -> MatchResult:
         raise SingularSystemError(f"singular system: {exc}") from exc
 
     report = invert(rescale(z, alpha), config.inversion)
+    if report.stalled:
+        # The residual stays >= 1 only when alpha * Z has an eigenvalue at or
+        # beyond 0 (a singular system) or 2 (a scale factor too large).
+        low, high = extreme_eigenvalues(z)
+        if alpha * high - 1.0 >= 1.0 - alpha * low:
+            raise InversionStalledError(
+                f"inversion stalled under scale factor {config.scale_kind.token}: "
+                f"residual {report.final_residual:.3e} did not drop below 1 in "
+                f"{report.iterations} iterations; the largest eigenvalue of "
+                f"alpha * X'X is {alpha * high:.6g}, not below 2"
+            )
     if not report.converged:
         raise SingularSystemError(
             "singular system: inversion did not converge after "

@@ -98,6 +98,18 @@ def test_solve_singular_system_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_solve_stalled_inversion_exits_one(tmp_path, capsys):
+    x = np.array([[1.0], [2.0], [3.0]])
+    x_path, m_path = tmp_path / "x.txt", tmp_path / "m.txt"
+    save_matrix(x_path, x)
+    save_matrix(m_path, 2.0 * x)
+
+    rc = main(["solve", "--x", str(x_path), "--m", str(m_path), "--alpha", "alpha1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: inversion stalled under scale factor alpha1")
+
+
 def test_solve_missing_file_exits_one(tmp_path, capsys):
     rc = main(["solve", "--x", str(tmp_path / "nope.txt"), "--m", str(tmp_path / "m.txt")])
     assert rc == 1

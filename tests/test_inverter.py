@@ -156,8 +156,18 @@ def test_inverse_quality():
 def test_divergence_aborts_early():
     rep = invert(3.0 * np.eye(4))
     assert not rep.converged
+    assert not rep.stalled
     assert rep.iterations == 3
     assert rep.residual_history.tolist() == [2.0, 4.0, 16.0, 256.0]
+
+
+def test_stall_aborts_early():
+    # Rescaled eigenvalue exactly 2: the residual |1 - 2| = 1 never drops.
+    rep = invert(np.array([[2.0]]))
+    assert not rep.converged
+    assert rep.stalled
+    assert rep.iterations == 3
+    assert rep.residual_history.tolist() == [1.0, 1.0, 1.0, 1.0]
 
 
 def test_cap_hit_reports_nonconvergence():

@@ -5,6 +5,7 @@ from lsqmatch.generate import derive_seed, uniform_pattern
 from lsqmatch.inverter import InversionConfig
 from lsqmatch.linalg import entrywise_max_abs, gram
 from lsqmatch.matching import (
+    InversionStalledError,
     MatchResult,
     PipelineConfig,
     SingularSystemError,
@@ -143,6 +144,20 @@ def test_singular_system_rejected():
     m = uniform_pattern(12, 2, 102)
     with pytest.raises(SingularSystemError, match="singular system"):
         solve_transform(x, m)
+
+
+def test_single_column_trace_scale_stalls():
+    # alpha1 = 2 / trace puts the only eigenvalue of alpha * X'X at exactly 2.
+    x = np.array([[1.0], [2.0], [3.0]])
+    m = 2.0 * x
+    with pytest.raises(InversionStalledError, match="stalled under scale factor alpha1") as info:
+        solve_transform(x, m, PipelineConfig(scale_kind=ScaleFactorKind.TRACE))
+    assert "singular" not in str(info.value)
+    assert "in 3 iterations" in str(info.value)
+    for kind in (ScaleFactorKind.OPTIMAL, ScaleFactorKind.GERSHGORIN):
+        result = solve_transform(x, m, PipelineConfig(scale_kind=kind))
+        assert result.inversion.iterations == 0
+        assert result.transform.tolist() == [[2.0]]
 
 
 def test_zero_pattern_rejected():
