@@ -14,20 +14,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from collections.abc import Callable
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Any
 
 import numpy as np
 
 from .generate import MoreToraldoSpec, derive_seed, more_toraldo, uniform_pattern
 from .inverter import InversionConfig, invert
 from .linalg import extreme_eigenvalues, gram
-from .scaling import (
-    ScaleFactorKind,
-    alpha_gershgorin_value,
-    alpha_optimal_bounds,
-    alpha_trace_value,
-    rescale,
-)
+from .scaling import ScaleFactorKind, rescale, scale_factor
 
 #: Conditioned-family default grid: three sizes crossed with four condition numbers.
 DEFAULT_MT_GRID = tuple((n, float(2**k)) for n in (16, 64, 256) for k in (6, 10, 14, 20))
@@ -35,9 +32,6 @@ DEFAULT_MT_GRID = tuple((n, float(2**k)) for n in (16, 64, 256) for k in (6, 10,
 DEFAULT_TABLE1_SIZES = (4, 8, 16, 32, 64)
 DEFAULT_TABLE1_RATIOS = (1, 2, 4, 8, 16, 32, 64)
 DEFAULT_TRIALS = 10
-
-RECORD_HEADER = "family,n,m,kappa,alpha,iterations,converged,seed"
-FIT_HEADER = "law,mean_dev,max_abs_dev,trials"
 
 #: Law token per scale kind, and its predicted iteration count.
 _LAW_TOKENS = {
@@ -113,11 +107,6 @@ def predicted_iterations(kind: ScaleFactorKind, n: int, kappa: float) -> float:
     return lk + math.log2(n) / 3.0 + N2_CONSTANT
 
 
-def _ordered_kinds(scale_kinds) -> list[ScaleFactorKind]:
-    chosen = set(scale_kinds)
-    return [k for k in ScaleFactorKind if k in chosen]
-
-
 def run_mt_suite(
     grid=DEFAULT_MT_GRID,
     trials_per_cell: int = DEFAULT_TRIALS,
@@ -139,7 +128,8 @@ def run_mt_suite(
         raise ValueError(f"trials_per_cell must be at least 1, got {trials_per_cell}")
     if cfg is None:
         cfg = InversionConfig()
-    kinds = _ordered_kinds(scale_kinds)
+    chosen = set(scale_kinds)
+    kinds = [k for k in ScaleFactorKind if k in chosen]
     if not kinds:
         raise ValueError("scale_kinds must not be empty")
 
@@ -150,12 +140,7 @@ def run_mt_suite(
             child = derive_seed(seed, cell_idx * trials_per_cell + trial)
             _, z = more_toraldo(spec, child)
             for kind in kinds:
-                if kind is ScaleFactorKind.OPTIMAL:
-                    alpha = alpha_optimal_bounds(1.0, spec.kappa).alpha
-                elif kind is ScaleFactorKind.TRACE:
-                    alpha = alpha_trace_value(z)
-                else:
-                    alpha = alpha_gershgorin_value(z)
+                alpha = scale_factor(z, kind, extremes=(1.0, spec.kappa))
                 report = invert(rescale(z, alpha), cfg)
                 records.append(
                     TrialRecord(
@@ -208,10 +193,7 @@ def run_table1_suite(
                 kappa = math.inf if low <= 0.0 else max(1.0, high / low)
                 for kind in kinds:
                     try:
-                        if kind is ScaleFactorKind.TRACE:
-                            alpha = alpha_trace_value(z)
-                        else:
-                            alpha = alpha_gershgorin_value(z)
+                        alpha = scale_factor(z, kind)
                     except ValueError:
                         records.append(
                             TrialRecord("uniform", n, m, kappa, kind, 0, False, child)
@@ -301,114 +283,110 @@ def fit_laws(records: list[TrialRecord]) -> list[LawFit]:
 
 
 # ---------------------------------------------------------------------------
-# Serialization.  All floats are written with repr() (shortest round-trip
-# form), so parse(emit(items)) == items exactly and reruns are byte-identical.
+# Serialization.  One column table per artifact type drives its CSV writer,
+# CSV parser and JSON writer, so the JSON keys follow the CSV columns.  All
+# floats are written with repr() (shortest round-trip form), so
+# parse(emit(items)) == items exactly and reruns are byte-identical.
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
+def _fmt_float(value: float) -> str:
     return repr(float(value))
 
 
-def records_to_csv(records: list[TrialRecord]) -> str:
-    lines = [RECORD_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.family},{r.n},{r.m},{_fmt(r.kappa)},{r.scale_kind.token},"
-            f"{r.iterations},{'true' if r.converged else 'false'},{r.seed}"
-        )
-    return "\n".join(lines) + "\n"
+def _fmt_bool(value: bool) -> str:
+    return "true" if value else "false"
 
 
-def fits_to_csv(fits: list[LawFit]) -> str:
-    lines = [FIT_HEADER]
-    for f in fits:
-        lines.append(
-            f"{f.law},{_fmt(f.mean_deviation)},{_fmt(f.max_abs_deviation)},{f.trials}"
-        )
-    return "\n".join(lines) + "\n"
+def _parse_bool(text: str) -> bool:
+    return {"true": True, "false": False}[text]
 
 
-def parse_records_csv(text: str) -> list[TrialRecord]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != RECORD_HEADER:
-        raise ValueError(f"expected header {RECORD_HEADER!r}")
-    records = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 8:
-            raise ValueError(f"expected 8 fields, got {len(parts)}: {ln!r}")
-        records.append(
-            TrialRecord(
-                family=parts[0],
-                n=int(parts[1]),
-                m=int(parts[2]),
-                kappa=float(parts[3]),
-                scale_kind=ScaleFactorKind.from_token(parts[4]),
-                iterations=int(parts[5]),
-                converged={"true": True, "false": False}[parts[6]],
-                seed=int(parts[7]),
-            )
-        )
-    return records
+_token = attrgetter("token")
 
 
-def parse_fits_csv(text: str) -> list[LawFit]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != FIT_HEADER:
-        raise ValueError(f"expected header {FIT_HEADER!r}")
-    fits = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"expected 4 fields, got {len(parts)}: {ln!r}")
-        fits.append(
-            LawFit(
-                law=parts[0],
-                mean_deviation=float(parts[1]),
-                max_abs_deviation=float(parts[2]),
-                trials=int(parts[3]),
-            )
-        )
-    return fits
+@dataclass(frozen=True)
+class Column:
+    """One artifact column: its CSV/JSON name and the attribute it holds.
 
-
-def emit_csv(items, destination) -> None:
-    """Write records or fits to ``destination`` (a path) as CSV.
-
-    An empty list writes the record header alone.
+    ``fmt`` writes the attribute as CSV text, ``parse`` reads it back, and
+    ``to_json`` gives its JSON value.
     """
-    if items and isinstance(items[0], LawFit):
-        text = fits_to_csv(items)
-    else:
-        text = records_to_csv(items)
-    try:
-        with open(destination, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write {destination}: {exc}") from exc
+
+    name: str
+    attr: str
+    fmt: Callable[[Any], str] = str
+    parse: Callable[[str], Any] = str
+    to_json: Callable[[Any], Any] = lambda value: value
 
 
-def records_to_json(records: list[TrialRecord]) -> str:
-    rows = []
-    for r in records:
-        d = asdict(r)
-        d["alpha"] = d.pop("scale_kind").token
-        rows.append(d)
-    return json.dumps(rows, indent=2) + "\n"
+@dataclass(frozen=True)
+class ColumnTable:
+    """The columns of one artifact type, in CSV and JSON order."""
+
+    cls: type
+    columns: tuple[Column, ...]
+
+    @property
+    def header(self) -> str:
+        return ",".join(c.name for c in self.columns)
+
+    def to_csv(self, items) -> str:
+        lines = [self.header]
+        for item in items:
+            lines.append(",".join(c.fmt(getattr(item, c.attr)) for c in self.columns))
+        return "\n".join(lines) + "\n"
+
+    def parse_csv(self, text: str) -> list:
+        lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines or lines[0] != self.header:
+            raise ValueError(f"expected header {self.header!r}")
+        items = []
+        for ln in lines[1:]:
+            parts = ln.split(",")
+            if len(parts) != len(self.columns):
+                raise ValueError(f"expected {len(self.columns)} fields, got {len(parts)}: {ln!r}")
+            items.append(self.cls(**{c.attr: c.parse(p) for c, p in zip(self.columns, parts)}))
+        return items
+
+    def to_json(self, items) -> str:
+        rows = [{c.name: c.to_json(getattr(item, c.attr)) for c in self.columns} for item in items]
+        return json.dumps(rows, indent=2) + "\n"
+
+    def write(self, items, destination, fmt: str = "csv") -> None:
+        """Write ``items`` to the path ``destination`` as ``fmt`` (csv or json)."""
+        text = self.to_json(items) if fmt == "json" else self.to_csv(items)
+        try:
+            with open(destination, "w", encoding="ascii", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OSError(f"cannot write {destination}: {exc}") from exc
 
 
-def fits_to_json(fits: list[LawFit]) -> str:
-    rows = [
-        {
-            "law": f.law,
-            "mean_dev": f.mean_deviation,
-            "max_abs_dev": f.max_abs_deviation,
-            "trials": f.trials,
-        }
-        for f in fits
-    ]
-    return json.dumps(rows, indent=2) + "\n"
+RECORDS = ColumnTable(
+    TrialRecord,
+    (
+        Column("family", "family"),
+        Column("n", "n", parse=int),
+        Column("m", "m", parse=int),
+        Column("kappa", "kappa", _fmt_float, float),
+        Column("alpha", "scale_kind", _token, ScaleFactorKind.from_token, _token),
+        Column("iterations", "iterations", parse=int),
+        Column("converged", "converged", _fmt_bool, _parse_bool),
+        Column("seed", "seed", parse=int),
+    ),
+)
+FITS = ColumnTable(
+    LawFit,
+    (
+        Column("law", "law"),
+        Column("mean_dev", "mean_deviation", _fmt_float, float),
+        Column("max_abs_dev", "max_abs_deviation", _fmt_float, float),
+        Column("trials", "trials", parse=int),
+    ),
+)
+RECORD_HEADER = RECORDS.header
+FIT_HEADER = FITS.header
 
 
 # ---------------------------------------------------------------------------

@@ -92,18 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_artifact(items, path: str, fmt: str) -> None:
-    if fmt == "json":
-        if items and isinstance(items[0], bench.LawFit):
-            text = bench.fits_to_json(items)
-        else:
-            text = bench.records_to_json(items)
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
-    else:
-        bench.emit_csv(items, path)
-
-
 def _cmd_gen(args) -> int:
     if args.family == "mt":
         _, z = more_toraldo(MoreToraldoSpec(args.n, args.kappa), args.seed)
@@ -131,37 +119,29 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = None
-    if args.suite in ("mt", "table1"):
-        cfg = InversionConfig(epsilon=args.eps, max_iterations=args.max_iter)
-
-    if args.suite == "mt":
-        records = bench.run_mt_suite(
-            grid=bench.DEFAULT_MT_GRID,
-            trials_per_cell=args.trials,
-            cfg=cfg,
-            seed=args.seed,
-        )
-        _write_artifact(records, args.out, args.format)
-        problems = bench.check_records(records) if args.check else []
-    elif args.suite == "table1":
-        records = bench.run_table1_suite(trials_per_cell=args.trials, cfg=cfg, seed=args.seed)
-        _write_artifact(records, args.out, args.format)
-        for cell in bench.summarize_cells(records):
-            sys.stderr.write(
-                f"cell n={cell.n} m={cell.m} alpha={cell.scale_kind.token}: "
-                f"mean={cell.mean_iterations:.3f} sd={cell.sd_iterations:.3f} "
-                f"trials={cell.trials}\n"
-            )
-        problems = bench.check_records(records) if args.check else []
-    else:
+    if args.suite == "fit":
         with open(args.infile, "r", encoding="ascii") as fh:
-            records = bench.parse_records_csv(fh.read())
+            records = bench.RECORDS.parse_csv(fh.read())
         fits = bench.fit_laws(records)
-        _write_artifact(fits, args.out, args.format)
-        problems = (bench.check_fits(fits) + bench.check_records(records)) if args.check else []
+        bench.FITS.write(fits, args.out, args.format)
+        problems = bench.check_fits(fits) + bench.check_records(records)
+    else:
+        cfg = InversionConfig(epsilon=args.eps, max_iterations=args.max_iter)
+        if args.suite == "mt":
+            records = bench.run_mt_suite(trials_per_cell=args.trials, cfg=cfg, seed=args.seed)
+        else:
+            records = bench.run_table1_suite(trials_per_cell=args.trials, cfg=cfg, seed=args.seed)
+        bench.RECORDS.write(records, args.out, args.format)
+        if args.suite == "table1":
+            for cell in bench.summarize_cells(records):
+                sys.stderr.write(
+                    f"cell n={cell.n} m={cell.m} alpha={cell.scale_kind.token}: "
+                    f"mean={cell.mean_iterations:.3f} sd={cell.sd_iterations:.3f} "
+                    f"trials={cell.trials}\n"
+                )
+        problems = bench.check_records(records)
 
-    if problems:
+    if args.check and problems:
         for p in problems:
             sys.stderr.write(f"check failed: {p}\n")
         return 2

@@ -106,7 +106,7 @@ def more_toraldo(spec: MoreToraldoSpec, seed: int) -> tuple[np.ndarray, np.ndarr
     h = stream.take(n)
     while float(h @ h) == 0.0:  # measure-zero degeneracy: draw again
         h = stream.take(n)
-    refl = np.eye(n) - (2.0 / float(h @ h)) * np.outer(h, h)
+    refl = householder(h)
     d_sqrt = np.power(kappa, 0.5 * np.arange(n) / (n - 1))
     x = d_sqrt[:, None] * refl
     return x, gram(x)

@@ -1,4 +1,4 @@
-"""Dense matrix primitives: products, norms, and two symmetric eigensolvers.
+"""Dense matrix primitives: the Gram matrix, norms, and two symmetric eigensolvers.
 
 ``extreme_eigenvalues`` gives the smallest and largest eigenvalue by
 Householder tridiagonalization and Sturm-sequence multisection; it is what
@@ -7,9 +7,10 @@ the scale factors, the diagnostics and the benchmark's kappa use.
 reference for eigenvectors and the whole spectrum.
 
 Matrices are plain 2-D float64 numpy arrays.  ``as_matrix`` / ``symmetrize``
-are the validating constructors: every public entry point of the package
-accepts anything array-like and normalizes it here, so the numerical code can
-assume finite, well-shaped input.
+are the validating constructors.  Input is validated once, where it enters
+the package (``solve_transform``, ``invert``, the eigensolvers, the matrix
+text format); ``gram``, the scale factors and ``rescale`` take trusted
+finite float64 arrays and check nothing.
 """
 
 from __future__ import annotations
@@ -82,32 +83,10 @@ class EigenDecomposition:
     vectors: np.ndarray
 
 
-def multiply(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}")
-    return a @ b
-
-
-def gram(x) -> np.ndarray:
-    """X'X, symmetrized exactly so that entry (i,j) == entry (j,i) bit-for-bit."""
-    x = as_matrix(x)
+def gram(x: np.ndarray) -> np.ndarray:
+    """X'X of a trusted float64 matrix, symmetrized exactly: (i,j) == (j,i) bit-for-bit."""
     g = x.T @ x
     return (g + g.T) * 0.5
-
-
-def transpose_multiply(x, m) -> np.ndarray:
-    """X'M without forming the transpose of X explicitly."""
-    x = as_matrix(x)
-    m = as_matrix(m)
-    if x.shape[0] != m.shape[0]:
-        raise ValueError(
-            f"row counts differ: pattern is {x.shape[0]}x{x.shape[1]}, "
-            f"model is {m.shape[0]}x{m.shape[1]}"
-        )
-    return x.T @ m
 
 
 def entrywise_max_abs(a) -> float:
@@ -118,15 +97,6 @@ def entrywise_max_abs(a) -> float:
 def infinity_norm(a) -> float:
     """Maximum row sum of absolute values."""
     return float(np.abs(as_matrix(a)).sum(axis=1).max())
-
-
-def frobenius_distance(a, b) -> float:
-    """Square root of the summed squared entry differences."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
 
 
 def scaled_eig_tol(a) -> float:

@@ -8,19 +8,14 @@ used to estimate wall time on fixed-cost matrix hardware.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .inverter import InversionConfig, InversionReport, invert
-from .linalg import as_matrix, extreme_eigenvalues, frobenius_distance, gram, multiply, transpose_multiply
-from .scaling import (
-    ScaleFactorKind,
-    alpha_optimal_bounds,
-    alpha_gershgorin_value,
-    alpha_trace_value,
-    rescale,
-)
+from .linalg import as_matrix, extreme_eigenvalues, gram
+from .scaling import ScaleFactorKind, rescale, scale_factor
 
 
 class SingularSystemError(RuntimeError):
@@ -75,12 +70,9 @@ def estimate_time_ms(ops: int, ms_per_op: float = 5.0) -> float:
     return ops * ms_per_op
 
 
-def _scale_factor(z, kind: ScaleFactorKind) -> float:
-    if kind is ScaleFactorKind.TRACE:
-        return alpha_trace_value(z)
-    if kind is ScaleFactorKind.GERSHGORIN:
-        return alpha_gershgorin_value(z)
-    return alpha_optimal_bounds(*extreme_eigenvalues(z)).alpha
+def _binary_exponent(a: np.ndarray) -> int:
+    """The k with max|a| in [2^(k-1), 2^k), or 0 for a zero matrix."""
+    return math.frexp(max(float(a.max()), -float(a.min())))[1]
 
 
 def solve_transform(x, m, config: PipelineConfig | None = None) -> MatchResult:
@@ -106,9 +98,14 @@ def solve_transform(x, m, config: PipelineConfig | None = None) -> MatchResult:
             f"underdetermined system: {x.shape[0]} rows for {x.shape[1]} columns"
         )
 
+    # Prescale by exact powers of two to largest entries in [0.5, 1), so the
+    # scale of X'X no longer follows the input's; where the unscaled solve
+    # neither over- nor underflows, T and the distance come out bit-identical.
+    kx, km = _binary_exponent(x), _binary_exponent(m)
+    x, m = np.ldexp(x, -kx), np.ldexp(m, -km)
     z = gram(x)
     try:
-        alpha = _scale_factor(z, config.scale_kind)
+        alpha = scale_factor(z, config.scale_kind)
     except ValueError as exc:
         raise SingularSystemError(f"singular system: {exc}") from exc
 
@@ -130,9 +127,9 @@ def solve_transform(x, m, config: PipelineConfig | None = None) -> MatchResult:
             f"{report.iterations} iterations (residual {report.final_residual:.3e})"
         )
 
-    xtm = transpose_multiply(x, m)
-    transform = multiply(alpha * report.inverse, xtm)
-    distance = frobenius_distance(multiply(x, transform), m)
+    transform = (alpha * report.inverse) @ (x.T @ m)
+    distance = float(np.ldexp(np.linalg.norm(x @ transform - m), km))
+    transform = np.ldexp(transform, km - kx)
     ops = op_count(report.iterations)
     return MatchResult(
         transform=transform,

@@ -4,7 +4,9 @@ Three choices are provided: the optimal factor (needs the extreme
 eigenvalues), a trace-based factor, and a Gershgorin/diagonal factor that
 reads only one column-sum pass off the matrix.  Each comes in a diagnostics
 flavour (reports the rescaled eigenvalue farthest from 1 and the resulting
-contraction) and a value-only fast path.
+contraction) and a value-only fast path; ``scale_factor`` maps a kind to its
+value.  The value functions and ``rescale`` take a trusted symmetric float64
+matrix, such as the output of ``linalg.gram``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EigenDecomposition, extreme_eigenvalues, infinity_norm, symmetrize
+from .linalg import EigenDecomposition, extreme_eigenvalues
 
 
 class ScaleFactorKind(enum.Enum):
@@ -77,19 +79,17 @@ def alpha_optimal(eig: EigenDecomposition) -> ScaleDiagnostics:
     return alpha_optimal_bounds(float(values[0]), float(values[-1]))
 
 
-def alpha_trace_value(z) -> float:
-    """Trace-based factor 2/trace(Z); touches only the diagonal."""
-    z = symmetrize(z)
+def alpha_trace_value(z: np.ndarray) -> float:
+    """Trace-based factor 2/trace(Z) of a trusted matrix; touches only the diagonal."""
     tr = float(np.trace(z))
     if not tr > 0.0:
         raise ValueError(f"matrix is not positive definite: trace = {tr}")
     return 2.0 / tr
 
 
-def alpha_gershgorin_value(z) -> float:
-    """Diagonal/row-sum factor 2/(min z_ii + max_i sum_j |z_ij|)."""
-    z = symmetrize(z)
-    denom = float(np.diag(z).min()) + infinity_norm(z)
+def alpha_gershgorin_value(z: np.ndarray) -> float:
+    """Diagonal/row-sum factor 2/(min z_ii + max_i sum_j |z_ij|) of a trusted matrix."""
+    denom = float(np.diag(z).min()) + float(np.abs(z).sum(axis=1).max())
     if not denom > 0.0:
         raise ValueError(f"matrix is not positive definite: scale denominator = {denom}")
     return 2.0 / denom
@@ -109,8 +109,26 @@ def alpha_gershgorin(z) -> ScaleDiagnostics:
     return _diagnosed(z, alpha_gershgorin_value(z), ScaleFactorKind.GERSHGORIN)
 
 
-def rescale(z, alpha: float) -> np.ndarray:
-    """alpha * Z for alpha > 0; preserves symmetry exactly."""
+def scale_factor(
+    z: np.ndarray, kind: ScaleFactorKind, extremes: tuple[float, float] | None = None
+) -> float:
+    """The value of scale factor ``kind`` for the trusted symmetric matrix ``z``.
+
+    ``extremes`` is a known ``(low, high)`` spectrum of ``z``; the optimal
+    factor computes it with :func:`extreme_eigenvalues` when it is not given.
+    Raises ``ValueError`` when ``z`` is not positive definite.
+    """
+    if kind is ScaleFactorKind.TRACE:
+        return alpha_trace_value(z)
+    if kind is ScaleFactorKind.GERSHGORIN:
+        return alpha_gershgorin_value(z)
+    if extremes is None:
+        extremes = extreme_eigenvalues(z)
+    return alpha_optimal_bounds(*extremes).alpha
+
+
+def rescale(z: np.ndarray, alpha: float) -> np.ndarray:
+    """alpha * Z of a trusted symmetric matrix, for alpha > 0; keeps symmetry exactly."""
     if not alpha > 0.0:
         raise ValueError(f"scale factor must be positive, got {alpha}")
-    return symmetrize(z) * float(alpha)
+    return z * float(alpha)

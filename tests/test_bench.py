@@ -144,53 +144,77 @@ def test_fit_laws_errors():
         bench.fit_laws([_rec(converged=False)])
 
 
-def test_records_csv_roundtrip():
-    records = [
-        _rec(),
-        _rec(scale_kind=ScaleFactorKind.GERSHGORIN, iterations=10, kappa=1048576.0),
-        _rec(family="uniform", n=4, m=8, kappa=3.729340029, converged=False, seed=2**63 + 5),
-    ]
-    text = bench.records_to_csv(records)
+_ROUNDTRIP_ITEMS = {
+    "records": (
+        bench.RECORDS,
+        [
+            _rec(),
+            _rec(scale_kind=ScaleFactorKind.GERSHGORIN, iterations=10, kappa=1048576.0),
+            _rec(family="uniform", n=4, m=8, kappa=3.729340029, converged=False, seed=2**63 + 5),
+        ],
+    ),
+    "fits": (
+        bench.FITS,
+        [
+            bench.LawFit("N0", 0.0, 0.0, 120),
+            bench.LawFit("N2", 0.09200000000000003, 0.7663333333333355, 120),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("artifact", sorted(_ROUNDTRIP_ITEMS))
+def test_artifact_roundtrip(artifact):
+    table, items = _ROUNDTRIP_ITEMS[artifact]
+    text = table.to_csv(items)
     lines = text.splitlines()
-    assert lines[0] == bench.RECORD_HEADER
-    assert len(lines) == 4
-    assert bench.parse_records_csv(text) == records
+    assert lines[0] == table.header
+    assert len(lines) == len(items) + 1
+    assert table.parse_csv(text) == items
+    # JSON has one object per item whose keys are the CSV columns, in order,
+    # and whose values spell the CSV fields.
+    rows = json.loads(table.to_json(items))
+    assert len(rows) == len(items)
+    for row, line in zip(rows, lines[1:]):
+        assert list(row) == table.header.split(",")
+        assert ",".join(_csv_text(v) for v in row.values()) == line
 
 
-def test_fits_csv_roundtrip():
-    fits = [
-        bench.LawFit("N0", 0.0, 0.0, 120),
-        bench.LawFit("N2", 0.09200000000000003, 0.7663333333333355, 120),
-    ]
-    text = bench.fits_to_csv(fits)
-    assert text.splitlines()[0] == bench.FIT_HEADER
-    assert bench.parse_fits_csv(text) == fits
+def _csv_text(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def test_artifact_headers():
+    assert bench.RECORDS.header == bench.RECORD_HEADER == "family,n,m,kappa,alpha,iterations,converged,seed"
+    assert bench.FITS.header == bench.FIT_HEADER == "law,mean_dev,max_abs_dev,trials"
 
 
 def test_csv_parse_errors():
     with pytest.raises(ValueError, match="header"):
-        bench.parse_records_csv("nope\n")
+        bench.RECORDS.parse_csv("nope\n")
     with pytest.raises(ValueError, match="fields"):
-        bench.parse_records_csv(bench.RECORD_HEADER + "\nmt,16,16\n")
+        bench.RECORDS.parse_csv(bench.RECORD_HEADER + "\nmt,16,16\n")
     with pytest.raises(ValueError, match="header"):
-        bench.parse_fits_csv("law,mean\n")
+        bench.FITS.parse_csv("law,mean\n")
 
 
 def test_emit_csv(tmp_path):
     path = tmp_path / "r.csv"
-    bench.emit_csv([], path)
+    bench.RECORDS.write([], path)
     assert path.read_text() == bench.RECORD_HEADER + "\n"
-    bench.emit_csv([_rec()], path)
+    bench.RECORDS.write([_rec()], path)
     assert len(path.read_text().splitlines()) == 2
     fits_path = tmp_path / "f.csv"
-    bench.emit_csv([bench.LawFit("N1", 0.5, 1.0, 3)], fits_path)
+    bench.FITS.write([bench.LawFit("N1", 0.5, 1.0, 3)], fits_path)
     assert fits_path.read_text().splitlines()[0] == bench.FIT_HEADER
     with pytest.raises(OSError, match="missing"):
-        bench.emit_csv([], tmp_path / "missing" / "r.csv")
+        bench.RECORDS.write([], tmp_path / "missing" / "r.csv")
 
 
 def test_json_mirrors_csv_fields():
-    rows = json.loads(bench.records_to_json([_rec()]))
+    rows = json.loads(bench.RECORDS.to_json([_rec()]))
     assert rows[0] == {
         "family": "mt",
         "n": 16,
@@ -201,7 +225,7 @@ def test_json_mirrors_csv_fields():
         "converged": True,
         "seed": 7,
     }
-    fit_rows = json.loads(bench.fits_to_json([bench.LawFit("N2", 0.1, 0.5, 9)]))
+    fit_rows = json.loads(bench.FITS.to_json([bench.LawFit("N2", 0.1, 0.5, 9)]))
     assert fit_rows[0] == {"law": "N2", "mean_dev": 0.1, "max_abs_dev": 0.5, "trials": 9}
 
 
@@ -221,7 +245,7 @@ def test_suite_reproducibility():
     a = bench.run_mt_suite(grid=[(8, 32.0)], trials_per_cell=3, seed=5)
     b = bench.run_mt_suite(grid=[(8, 32.0)], trials_per_cell=3, seed=5)
     assert a == b
-    assert bench.records_to_csv(a) == bench.records_to_csv(b)
+    assert bench.RECORDS.to_csv(a) == bench.RECORDS.to_csv(b)
 
 
 def test_default_grid_shape(mt_records):

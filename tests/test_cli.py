@@ -121,7 +121,7 @@ def test_bench_mt_writes_parsable_csv(tmp_path, capsys):
     rc = main(["bench", "mt", "--trials", "1", "--seed", "3", "--out", str(out)])
     assert rc == 0
     capsys.readouterr()
-    records = bench.parse_records_csv(out.read_text())
+    records = bench.RECORDS.parse_csv(out.read_text())
     assert len(records) == 36  # 12 cells x 1 trial x 3 scale factors
     assert all(r.family == "mt" for r in records)
 
@@ -155,7 +155,7 @@ def test_bench_table1_prints_cell_summaries(tmp_path, capsys):
     assert len(err_lines) == 70
     assert all(ln.startswith("cell n=") for ln in err_lines)
     assert "alpha=alpha1" in err_lines[0]
-    records = bench.parse_records_csv(out.read_text())
+    records = bench.RECORDS.parse_csv(out.read_text())
     assert len(records) == 70
 
 
@@ -167,7 +167,7 @@ def test_bench_fit_pipeline(tmp_path, capsys):
     )
     assert rc == 0
     capsys.readouterr()
-    fits = bench.parse_fits_csv(fits_path.read_text())
+    fits = bench.FITS.parse_csv(fits_path.read_text())
     assert [f.law for f in fits] == ["N0", "N1", "N2"]
     assert all(f.trials == 24 for f in fits)
 
@@ -179,7 +179,7 @@ def test_bench_fit_check_failure_exits_two(tmp_path, capsys):
         for trial in range(3)
         for kind in list(bench.ScaleFactorKind)
     ]
-    bench.emit_csv(doctored, records_path)
+    bench.RECORDS.write(doctored, records_path)
 
     rc = main(["bench", "fit", "--in", str(records_path), "--out", str(fits_path), "--check"])
     assert rc == 2
@@ -192,7 +192,7 @@ def test_bench_fit_check_failure_exits_two(tmp_path, capsys):
 def test_bench_fit_without_check_ignores_deviation(tmp_path, capsys):
     records_path, fits_path = tmp_path / "r.csv", tmp_path / "f.csv"
     doctored = [bench.TrialRecord("mt", 16, 16, 64.0, bench.ScaleFactorKind.OPTIMAL, 50, True, 0)]
-    bench.emit_csv(doctored, records_path)
+    bench.RECORDS.write(doctored, records_path)
     assert main(["bench", "fit", "--in", str(records_path), "--out", str(fits_path)]) == 0
     capsys.readouterr()
 

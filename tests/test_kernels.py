@@ -53,7 +53,8 @@ def test_divergence_status():
 
 def test_nonfinite_status():
     a = 1e200 * np.eye(2)
-    _, _, iters, status = kernels.newton_schulz(a, 1e-6, 200)
+    with pytest.warns(RuntimeWarning):
+        _, _, iters, status = kernels.newton_schulz(a, 1e-6, 200)
     assert status == kernels.NONFINITE
     assert iters == 1
 

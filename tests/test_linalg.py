@@ -38,26 +38,6 @@ def test_symmetrize_rejects_asymmetric():
         la.symmetrize(np.ones((2, 3)))
 
 
-def test_multiply_and_shape_errors():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[1.0], [1.0]])
-    out = la.multiply(a, b)
-    assert out.shape == (2, 1)
-    assert out[0, 0] == 3.0 and out[1, 0] == 7.0
-    with pytest.raises(ValueError, match="multiply"):
-        la.multiply(b, a)
-
-
-def test_multiply_associative():
-    for seed in range(5):
-        a = uniform_pattern(5, 5, 100 + seed)
-        b = uniform_pattern(5, 5, 200 + seed)
-        c = uniform_pattern(5, 5, 300 + seed)
-        left = la.multiply(la.multiply(a, b), c)
-        right = la.multiply(a, la.multiply(b, c))
-        assert np.abs(left - right).max() < 1e-9
-
-
 def test_gram_example():
     g = la.gram(np.array([[1.0, 1.0], [0.0, 1.0]]))
     assert np.array_equal(g, np.array([[1.0, 1.0], [1.0, 2.0]]))
@@ -66,28 +46,15 @@ def test_gram_example():
 def test_gram_matches_transpose_multiply():
     for seed in (1, 2, 3):
         x = uniform_pattern(7, 3, seed)
-        direct = la.transpose_multiply(x, x)
+        direct = x.T @ x
         sym = (direct + direct.T) * 0.5
         assert np.abs(la.gram(x) - sym).max() < 1e-12
-
-
-def test_transpose_multiply_shape_error():
-    with pytest.raises(ValueError):
-        la.transpose_multiply(np.ones((3, 2)), np.ones((4, 2)))
 
 
 def test_entrywise_and_infinity_norms():
     a = np.array([[1.0, -3.0], [2.0, 0.5]])
     assert la.entrywise_max_abs(a) == 3.0
     assert la.infinity_norm(a) == 4.0  # row 0: 1+3
-
-
-def test_frobenius_distance():
-    a = np.zeros((2, 2))
-    b = np.array([[3.0, 0.0], [0.0, 4.0]])
-    assert abs(la.frobenius_distance(a, b) - 5.0) < 1e-15
-    with pytest.raises(ValueError):
-        la.frobenius_distance(a, np.zeros((2, 3)))
 
 
 def test_eigen_diagonal_example():

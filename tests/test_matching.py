@@ -137,6 +137,19 @@ def test_shape_errors():
         solve_transform(np.ones((2, 4)), np.ones((2, 4)))
 
 
+def test_nonfinite_input_rejected():
+    # solve_transform is the boundary: the steps after it check nothing.
+    x = uniform_pattern(6, 2, 103)
+    m = uniform_pattern(6, 2, 104)
+    bad_x, bad_m = x.copy(), m.copy()
+    bad_x[1, 1] = np.nan
+    bad_m[0, 1] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        solve_transform(bad_x, m)
+    with pytest.raises(ValueError, match="finite"):
+        solve_transform(x, bad_m)
+
+
 def test_singular_system_rejected():
     # duplicated column makes the Gram matrix exactly rank deficient
     base = uniform_pattern(12, 2, 101)
@@ -163,3 +176,34 @@ def test_single_column_trace_scale_stalls():
 def test_zero_pattern_rejected():
     with pytest.raises(SingularSystemError, match="singular system"):
         solve_transform(np.zeros((6, 3)), np.ones((6, 2)))
+
+
+EXTREME_X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+EXTREME_M = EXTREME_X @ np.array([[2.0, 1.0], [0.0, 3.0]])
+
+
+@pytest.mark.parametrize("kind", list(ScaleFactorKind), ids=lambda k: k.token)
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
+def test_extreme_input_scale_solves(scale, kind):
+    """Scaling X and M alike leaves T unchanged up to the rounding of the scaling."""
+    config = PipelineConfig(scale_kind=kind)
+    t = solve_transform(EXTREME_X, EXTREME_M, config).transform
+    result = solve_transform(scale * EXTREME_X, scale * EXTREME_M, config)
+    sv = np.linalg.svd(EXTREME_X, compute_uv=False)
+    n, eps = EXTREME_X.shape[1], config.inversion.epsilon
+    # The stopping rule bounds ||I - V A||_2 by n eps; forming X'X adds n kappa(X)^2 u.
+    bound = n * eps / (1.0 - n * eps) + n * (sv[0] / sv[-1]) ** 2 * 2.0**-53
+    assert np.linalg.norm(result.transform - t) <= bound * np.linalg.norm(t)
+    assert np.isfinite(result.distance)
+
+
+@pytest.mark.parametrize("kind", list(ScaleFactorKind), ids=lambda k: k.token)
+@pytest.mark.parametrize("log2_scale", [-700, -530, 500, 660])
+def test_power_of_two_input_scale_is_exact(log2_scale, kind):
+    config = PipelineConfig(scale_kind=kind)
+    base = solve_transform(EXTREME_X, EXTREME_M, config)
+    scale = 2.0**log2_scale
+    result = solve_transform(scale * EXTREME_X, scale * EXTREME_M, config)
+    assert result.transform.tobytes() == base.transform.tobytes()
+    assert result.distance == scale * base.distance
+    assert result.inversion.residual_history.tobytes() == base.inversion.residual_history.tobytes()

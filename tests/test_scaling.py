@@ -3,7 +3,7 @@ import pytest
 
 import lsqmatch.scaling as sc
 from lsqmatch.generate import MoreToraldoSpec, more_toraldo, uniform_pattern
-from lsqmatch.linalg import gram, scaled_eig_tol, symmetric_eigen
+from lsqmatch.linalg import extreme_eigenvalues, gram, scaled_eig_tol, symmetric_eigen
 
 
 def test_kind_tokens():
@@ -68,6 +68,24 @@ def test_gershgorin_examples():
     assert abs(d.alpha - sc.alpha_optimal_bounds(1.0, 4.0).alpha) < 1e-15
     with pytest.raises(ValueError, match="not positive definite"):
         sc.alpha_gershgorin_value(-np.eye(2))
+
+
+def test_scale_factor_dispatch():
+    for seed in (21, 22):
+        z = gram(uniform_pattern(24, 6, seed))
+        assert sc.scale_factor(z, sc.ScaleFactorKind.TRACE) == sc.alpha_trace_value(z)
+        assert sc.scale_factor(z, sc.ScaleFactorKind.GERSHGORIN) == sc.alpha_gershgorin_value(z)
+        optimal = sc.scale_factor(z, sc.ScaleFactorKind.OPTIMAL)
+        assert optimal == sc.alpha_optimal_bounds(*extreme_eigenvalues(z)).alpha
+    _, z = more_toraldo(MoreToraldoSpec(8, 64.0), 5)
+    for kind in sc.ScaleFactorKind:
+        got = sc.scale_factor(z, kind, extremes=(1.0, 64.0))
+        if kind is sc.ScaleFactorKind.OPTIMAL:
+            assert got == sc.alpha_optimal_bounds(1.0, 64.0).alpha
+        else:
+            assert got == sc.scale_factor(z, kind)
+    with pytest.raises(ValueError, match="not positive definite"):
+        sc.scale_factor(np.zeros((3, 3)), sc.ScaleFactorKind.OPTIMAL)
 
 
 def test_rescale():
