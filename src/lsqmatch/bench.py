@@ -299,7 +299,9 @@ def _fmt_bool(value: bool) -> str:
 
 
 def _parse_bool(text: str) -> bool:
-    return {"true": True, "false": False}[text]
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
 
 
 _token = attrgetter("token")
@@ -342,11 +344,17 @@ class ColumnTable:
         if not lines or lines[0] != self.header:
             raise ValueError(f"expected header {self.header!r}")
         items = []
-        for ln in lines[1:]:
+        for row, ln in enumerate(lines[1:], 1):
             parts = ln.split(",")
             if len(parts) != len(self.columns):
                 raise ValueError(f"expected {len(self.columns)} fields, got {len(parts)}: {ln!r}")
-            items.append(self.cls(**{c.attr: c.parse(p) for c, p in zip(self.columns, parts)}))
+            values = {}
+            for c, p in zip(self.columns, parts):
+                try:
+                    values[c.attr] = c.parse(p)
+                except ValueError as exc:
+                    raise ValueError(f"data row {row}, column {c.name!r}: {exc}") from None
+            items.append(self.cls(**values))
         return items
 
     def to_json(self, items) -> str:

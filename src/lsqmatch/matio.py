@@ -4,11 +4,20 @@ Layout: a header line ``rows cols`` (ASCII decimal integers, one space), then
 ``rows`` lines of ``cols`` space-separated floating-point values.  Values are
 written with Python's shortest round-trip ``repr``, so load(save(a)) == a
 bit-for-bit.  Lines end with ``\\n``.
+
+Reading accepts more than writing produces: blank lines anywhere, any run of
+whitespace between values, and ``\\r\\n`` or ``\\r`` line ends.  The header
+is read in Python; the data lines go through numpy's C text reader
+(``np.loadtxt``) in one call.  Only when that reader fails, or its shape
+disagrees with the header, are the lines scanned again, to name the first
+faulty line in the error.
 """
 
 from __future__ import annotations
 
+import io
 import os
+import warnings
 
 import numpy as np
 
@@ -19,28 +28,13 @@ def format_matrix(a) -> str:
     a = as_matrix(a)
     rows, cols = a.shape
     lines = [f"{rows} {cols}"]
-    for i in range(rows):
-        lines.append(" ".join(repr(float(v)) for v in a[i]))
+    lines.extend(" ".join(map(repr, row.tolist())) for row in a)
     return "\n".join(lines) + "\n"
 
 
 def parse_matrix(text: str) -> np.ndarray:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty matrix text")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"matrix header must be 'rows cols', got {lines[0]!r}")
-    rows, cols = int(header[0]), int(header[1])
-    if len(lines) - 1 != rows:
-        raise ValueError(f"expected {rows} data lines, got {len(lines) - 1}")
-    data = np.empty((rows, cols))
-    for i, line in enumerate(lines[1:]):
-        parts = line.split()
-        if len(parts) != cols:
-            raise ValueError(f"row {i}: expected {cols} values, got {len(parts)}")
-        data[i] = [float(p) for p in parts]
-    return as_matrix(data)
+    """Read a matrix from its text form; errors name the 1-based line."""
+    return _read_matrix(io.StringIO(text, newline=None), "")
 
 
 def save_matrix(path: str | os.PathLike, a) -> None:
@@ -49,5 +43,77 @@ def save_matrix(path: str | os.PathLike, a) -> None:
 
 
 def load_matrix(path: str | os.PathLike) -> np.ndarray:
+    """Read a matrix file; errors name the file and the 1-based line."""
     with open(path, "r", encoding="ascii") as fh:
-        return parse_matrix(fh.read())
+        return _read_matrix(fh, f"{os.fspath(path)}: ")
+
+
+def _read_matrix(fh, where: str) -> np.ndarray:
+    """Read the header, then every data line in one C-reader call.
+
+    ``fh`` is a seekable text stream with universal newlines; ``where``
+    prefixes every error message.
+    """
+    rows, cols, header_line = _read_header(fh, where)
+    try:
+        with warnings.catch_warnings():
+            # A header with no data lines after it: the shape check words it.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(fh, dtype=np.float64, ndmin=2, comments=None)
+    except ValueError:
+        data = None
+    if data is None or data.shape != (rows, cols):
+        fh.seek(0)
+        raise ValueError(where + _first_fault(fh, header_line, rows, cols))
+    try:
+        return as_matrix(data)
+    except ValueError as exc:
+        raise ValueError(f"{where}{exc}") from None
+
+
+def _read_header(fh, where: str) -> tuple[int, int, int]:
+    """Return (rows, cols, line number) of the first non-blank line."""
+    for number, line in enumerate(fh, 1):
+        header = line.split()
+        if not header:
+            continue
+        if len(header) != 2 or not all(t.isascii() and t.isdigit() for t in header):
+            raise ValueError(
+                f"{where}line {number}: matrix header must be 'rows cols', got {line.strip()!r}"
+            )
+        rows, cols = int(header[0]), int(header[1])
+        if rows < 1 or cols < 1:
+            raise ValueError(
+                f"{where}line {number}: matrix dimensions must be positive, got {rows} {cols}"
+            )
+        return rows, cols, number
+    raise ValueError(f"{where}empty matrix text")
+
+
+def _first_fault(fh, header_line: int, rows: int, cols: int) -> str:
+    """Word the first faulty data line, scanning from the start of ``fh``."""
+    seen = 0
+    for number, line in enumerate(fh, 1):
+        tokens = line.split()
+        if number <= header_line or not tokens:
+            continue
+        if seen == rows:
+            return f"line {number}: more than {rows} data rows"
+        seen += 1
+        if len(tokens) != cols:
+            return f"line {number}: expected {cols} values, got {len(tokens)}"
+        for token in tokens:
+            if not _is_number(token):
+                return f"line {number}: cannot read {token!r} as a number"
+    if seen < rows:
+        return f"line {number}: input ends after {seen} of {rows} data rows"
+    return "cannot read the data lines"
+
+
+def _is_number(token: str) -> bool:
+    """Whether the C reader takes ``token``: ``float()`` syntax, ASCII, no ``_``."""
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return token.isascii() and "_" not in token

@@ -198,6 +198,13 @@ def test_csv_parse_errors():
         bench.RECORDS.parse_csv(bench.RECORD_HEADER + "\nmt,16,16\n")
     with pytest.raises(ValueError, match="header"):
         bench.FITS.parse_csv("law,mean\n")
+    good = bench.RECORDS.to_csv([_rec(), _rec()])
+    with pytest.raises(ValueError, match="data row 2, column 'converged'"):
+        bench.RECORDS.parse_csv(good[: good.rindex("true")] + "yes,7\n")
+    with pytest.raises(ValueError, match="data row 1, column 'n'"):
+        bench.RECORDS.parse_csv(good.replace("mt,16,", "mt,sixteen,", 1))
+    with pytest.raises(ValueError, match="data row 1, column 'alpha'"):
+        bench.RECORDS.parse_csv(good.replace("alpha0", "alpha9", 1))
 
 
 def test_emit_csv(tmp_path):

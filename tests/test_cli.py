@@ -116,6 +116,16 @@ def test_solve_missing_file_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_solve_malformed_matrix_file_exits_one(tmp_path, capsys):
+    x_path, m_path = tmp_path / "x.txt", tmp_path / "m.txt"
+    x_path.write_text("3 2\n1.0 2.0\n3.0\n5.0 6.0\n")  # short row on line 3
+    save_matrix(m_path, uniform_pattern(3, 2, 5))
+
+    rc = main(["solve", "--x", str(x_path), "--m", str(m_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {x_path}: line 3: expected 2 values, got 1\n"
+
+
 def test_bench_mt_writes_parsable_csv(tmp_path, capsys):
     out = tmp_path / "records.csv"
     rc = main(["bench", "mt", "--trials", "1", "--seed", "3", "--out", str(out)])
@@ -203,6 +213,17 @@ def test_bench_fit_missing_input_exits_one(tmp_path, capsys):
     )
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_bench_fit_bad_field_exits_one(tmp_path, capsys):
+    records_path = tmp_path / "r.csv"
+    rec = bench.TrialRecord("mt", 16, 16, 64.0, bench.ScaleFactorKind.OPTIMAL, 9, True, 0)
+    records_path.write_text(bench.RECORDS.to_csv([rec]).replace(",true,", ",yes,"))
+    rc = main(["bench", "fit", "--in", str(records_path), "--out", str(tmp_path / "f.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: data row 1, column 'converged'")
+    assert "'yes'" in err
 
 
 def test_bench_out_directory_missing_exits_one(tmp_path, capsys):

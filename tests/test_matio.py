@@ -1,5 +1,13 @@
+import decimal
+import re
+import sys
+from decimal import Decimal
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lsqmatch.generate import uniform_pattern
 from lsqmatch.matio import format_matrix, load_matrix, parse_matrix, save_matrix
@@ -31,17 +39,57 @@ def test_parse_skips_blank_lines():
     assert np.array_equal(a, np.array([[1.0, 2.0], [3.0, 4.0]]))
 
 
+@pytest.mark.filterwarnings("error")
 def test_parse_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty matrix text"):
         parse_matrix("")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^line 1: matrix header must be 'rows cols'"):
         parse_matrix("2\n1.0\n2.0\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^line 2: matrix dimensions must be positive"):
+        parse_matrix("\n0 2\n")
+    with pytest.raises(ValueError, match=r"^line 3: expected 2 values, got 1$"):
         parse_matrix("2 2\n1.0 2.0\n3.0\n")  # short row
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^line 3: input ends after 2 of 3 data rows$"):
         parse_matrix("3 2\n1.0 2.0\n3.0 4.0\n")  # missing row
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^line 2: cannot read 'abc' as a number$"):
         parse_matrix("1 2\n1.0 abc\n")
+    with pytest.raises(ValueError, match=r"^line 1: input ends after 0 of 2 data rows$"):
+        parse_matrix("2 2\n")  # header only
+    with pytest.raises(ValueError, match=r"^line 5: more than 2 data rows$"):
+        parse_matrix("2 1\n1.0\n2.0\n\n3.0\n")
+    with pytest.raises(ValueError, match=r"^line 2: expected 3 values, got 2$"):
+        parse_matrix("2 3\n1.0 2.0\n3.0 4.0\n")  # every row short: the shape check words it
+    with pytest.raises(ValueError, match=r"^line 2: expected 2 values, got 4$"):
+        parse_matrix("1 2\n1.0 2.0 # note\n")  # '#' starts no comment
+    with pytest.raises(ValueError, match=r"^line 2: cannot read '1_0' as a number$"):
+        parse_matrix("1 2\n1_0 2.0\n")  # float() accepts it; the C reader does not
+    with pytest.raises(ValueError, match="finite"):
+        parse_matrix("1 2\n1.0 nan\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_load_errors_name_the_file(tmp_path):
+    path = tmp_path / "bad.mat"
+    path.write_text("2 2\n1.0 2.0\n3.0\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 3: expected 2 values"):
+        load_matrix(path)
+    path.write_text("2 2\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 1: input ends after 0"):
+        load_matrix(path)
+    path.write_text("1 2\n1.0 inf\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: matrix entries must be"):
+        load_matrix(path)
+
+
+def test_parse_accepts_any_line_end_and_whitespace():
+    expected = np.array([[1.0, 2.0], [3.0, 4.0]])
+    texts = (
+        "2 2\r\n1.0 2.0\r\n3.0 4.0\r\n",
+        "2 2\r1.0 2.0\r3.0 4.0",
+        "2  2\n\t1.0\t 2.0 \n3.0\x0c4.0\n",
+    )
+    for text in texts:
+        assert np.array_equal(parse_matrix(text), expected)
 
 
 def test_save_and_load(tmp_path):
@@ -54,3 +102,77 @@ def test_save_and_load(tmp_path):
 def test_load_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_matrix(tmp_path / "nope.mat")
+
+
+def _tie_tokens():
+    """Exact decimal midpoints between adjacent doubles, and the decimals just above and below."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1200
+        ties = [
+            Decimal(5e-324) / 2,  # half the smallest subnormal
+            1 + Decimal(2) ** -53,  # half an ulp above 1.0
+            Decimal(sys.float_info.max) - Decimal(2) ** 970,  # half an ulp below DBL_MAX
+        ]
+        return [str(t) for tie in ties for t in (tie, tie.next_plus(), tie.next_minus())]
+
+
+#: Decimal strings whose correctly rounded double is hard to get right.
+HARD_FLOAT_STRINGS = [
+    "1e23",
+    "9007199254740993",
+    "2.2250738585072011e-308",
+    "4.9e-324",
+    "1.7976931348623157e308",
+    "-0.0",
+    "0.30000000000000004",
+    "2.4703282292062327e-324",
+    "2.4703282292062328e-324",
+    "123456789012345678901234567890",
+    *_tie_tokens(),
+]
+
+
+@pytest.mark.parametrize("token", HARD_FLOAT_STRINGS, ids=[t[:24] for t in HARD_FLOAT_STRINGS])
+def test_reader_rounds_like_python_float(token):
+    expected = np.array([[float(token), float("-" + token.lstrip("-"))]])
+    got = parse_matrix(f"1 2\n{token} -{token.lstrip('-')}\n")
+    assert got.tobytes() == expected.tobytes()
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+        elements=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True, width=64),
+    )
+)
+def test_save_load_roundtrip_is_bit_exact(tmp_path, a):
+    path = tmp_path / "a.mat"
+    save_matrix(path, a)
+    assert load_matrix(path).tobytes() == a.tobytes()
+
+
+def _format_matrix_reference(a):
+    """``format_matrix`` as it was, one numpy scalar per element."""
+    rows, cols = a.shape
+    lines = [f"{rows} {cols}"]
+    for i in range(rows):
+        lines.append(" ".join(repr(float(v)) for v in a[i]))
+    return "\n".join(lines) + "\n"
+
+
+def test_format_matches_per_element_repr():
+    edge = np.array(
+        [
+            [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308],
+            [1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e-5, 0.1],
+            [1.0, 123456789.0, 1e22, 1e23, 9007199254740993.0],
+        ]
+    )
+    rng = np.random.default_rng(11)
+    wide = rng.standard_normal((40, 7)) * np.exp2(rng.integers(-1070, 1020, (40, 7)))
+    for a in (edge, wide, uniform_pattern(33, 5, 3), np.array([[7.0]])):
+        assert format_matrix(a) == _format_matrix_reference(a)
