@@ -60,7 +60,8 @@ class TrialRecord:
     def __post_init__(self):
         if self.family not in ("mt", "uniform"):
             raise ValueError(f"unknown family token {self.family!r}")
-        if self.kappa < 1.0:
+        # Written so that NaN fails; inf stays valid (a singular Gram matrix).
+        if not self.kappa >= 1.0:
             raise ValueError(f"kappa must be at least 1, got {self.kappa}")
 
 
@@ -354,7 +355,10 @@ class ColumnTable:
                     values[c.attr] = c.parse(p)
                 except ValueError as exc:
                     raise ValueError(f"data row {row}, column {c.name!r}: {exc}") from None
-            items.append(self.cls(**values))
+            try:
+                items.append(self.cls(**values))
+            except ValueError as exc:
+                raise ValueError(f"data row {row}: {exc}") from None
         return items
 
     def to_json(self, items) -> str:
@@ -393,8 +397,6 @@ FITS = ColumnTable(
         Column("trials", "trials", parse=int),
     ),
 )
-RECORD_HEADER = RECORDS.header
-FIT_HEADER = FITS.header
 
 
 # ---------------------------------------------------------------------------

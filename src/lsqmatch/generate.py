@@ -8,6 +8,7 @@ bit-for-bit without external dependencies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,11 +66,6 @@ class SplitMix64:
         return 2.0 * u - 1.0
 
 
-def uniform_open(seed: int, count: int) -> np.ndarray:
-    """``count`` seeded uniform draws from the open interval (-1, 1)."""
-    return SplitMix64(seed).take(count)
-
-
 def householder(h) -> np.ndarray:
     """Reflection I - 2 h h' / h'h across the hyperplane orthogonal to ``h``."""
     h = np.asarray(h, dtype=np.float64).reshape(-1)
@@ -89,8 +85,8 @@ class MoreToraldoSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
-        if self.kappa < 1.0:
-            raise ValueError(f"kappa must be at least 1, got {self.kappa}")
+        if not 1.0 <= self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and at least 1, got {self.kappa}")
 
 
 def more_toraldo(spec: MoreToraldoSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:

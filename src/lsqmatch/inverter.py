@@ -1,9 +1,10 @@
-"""The recurrent inversion process, its stopping rule, and iteration predictors.
+"""The recurrent inversion process, its stopping rule, and its iteration bound.
 
 The process is V0 = I; U_{t+1} = 2I - V_t A; V_{t+1} = U_{t+1} V_t, which
-converges quadratically to A^-1 whenever the spectrum of A lies in (0, 2).
-``neumann_partial_sum`` provides the closed-form oracle for its iterates:
-V_t equals the first 2^t terms of the Neumann series of A.
+converges quadratically to A^-1 whenever the spectrum of A lies in (0, 2):
+V_t is the sum of the first 2^t terms of the Neumann series of A, so the
+spectral residual I - V_t A is (I - A)^(2^t).  ``iteration_bound`` turns
+that into a count.
 """
 
 from __future__ import annotations
@@ -15,10 +16,6 @@ import numpy as np
 
 from . import kernels
 from .linalg import symmetrize
-
-#: Largest exponent accepted by :func:`neumann_partial_sum` (2^t - 1 products).
-NEUMANN_MAX_T = 20
-
 
 class DivergenceError(RuntimeError):
     """Iterates left the floating-point range — the input was badly scaled."""
@@ -92,58 +89,26 @@ def invert(a, cfg: InversionConfig | None = None) -> InversionReport:
     )
 
 
-def neumann_partial_sum(a, t: int) -> np.ndarray:
-    """Sum of (I - A)^i for i = 0 .. 2^t - 1, accumulated term by term.
+def iteration_bound(low: float, high: float, epsilon: float) -> int:
+    """Updates after which the spectral residual is below ``epsilon``.
 
-    Independent oracle for the process iterate V_t; capped at t <= 20 since
-    the term count doubles with t.
+    ``low`` and ``high`` are the ends of the rescaled spectrum (of alpha * Z).
+    With the contraction c = max(|1 - low|, |1 - high|) the residual after t
+    updates is c^(2^t), so the count is ceil(log2(ln eps / ln c)), clamped at
+    0 (and 0 when c = 0).  The entrywise stopping rule of :func:`invert` can
+    stop earlier, never later.  Raises ``ValueError`` unless c < 1 and
+    0 < eps < 1.
+
+    No production path calls it yet.  It is the library's one exact count,
+    kept for the predicted counts the benchmark records are to carry and
+    for a self-scaled recurrence to extend; the tests check it against
+    observed counts.
     """
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    if t > NEUMANN_MAX_T:
-        raise ValueError(f"t = {t} exceeds the cap {NEUMANN_MAX_T} (2^t - 1 terms)")
-    a = symmetrize(a)
-    n = a.shape[0]
-    b = np.eye(n) - a
-    total = np.eye(n)
-    term = np.eye(n)
-    for _ in range(2**t - 1):
-        term = term @ b
-        total += term
-    return total
-
-
-def convergence_threshold(contraction: float, epsilon: float) -> float:
-    """Real-valued iteration threshold log2(ln eps / ln contraction).
-
-    Past the ceiling of this value the spectral residual is guaranteed below
-    ``epsilon``.  Clamped at 0: a tiny contraction converges during the very
-    first update.
-    """
-    if not 0.0 <= contraction < 1.0:
-        raise ValueError(f"contraction must lie in [0, 1), got {contraction}")
+    contraction = max(abs(1.0 - low), abs(1.0 - high))
+    if not contraction < 1.0:
+        raise ValueError(f"rescaled spectrum [{low}, {high}] must lie inside (0, 2)")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if contraction == 0.0:
-        return 0.0
-    return max(0.0, math.log2(math.log(epsilon) / math.log(contraction)))
-
-
-def predicted_iterations_optimal(kappa: float, epsilon: float) -> float:
-    """Large-kappa iteration estimate under the optimal scale factor."""
-    if kappa < 1.0:
-        raise ValueError(f"kappa must be at least 1, got {kappa}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    return math.log2(abs(math.log(epsilon))) + math.log2(kappa + 1.0) - 1.0
-
-
-def predicted_iterations_trace_bound(kappa: float, n: int, epsilon: float) -> float:
-    """Upper bound on iterations under the trace scale factor (n >= 2)."""
-    if kappa < 1.0:
-        raise ValueError(f"kappa must be at least 1, got {kappa}")
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    return math.log2(abs(math.log(epsilon))) + math.log2(kappa) + math.log2(n) - 1.0
+        return 0
+    return max(0, math.ceil(math.log2(math.log(epsilon) / math.log(contraction))))

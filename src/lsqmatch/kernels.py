@@ -1,16 +1,12 @@
-"""The two hot loops: cyclic-Jacobi sweeps and the recurrent inversion.
+"""The hot loop: the recurrent inversion behind ``inverter.invert``.
 
-``jacobi_sweeps`` backs the full eigendecomposition ``linalg.symmetric_eigen``,
-which tests use as the reference spectrum; ``newton_schulz`` is the inversion
-recurrence behind ``inverter.invert``.  Both are plain numpy.  The recurrence
-allocates its iterate and two n x n work buffers once per call and reuses
-them in place, so an iteration costs its two matrix products and a few
-elementwise passes, with no n x n allocation.
+``newton_schulz`` is plain numpy.  It allocates its iterate and two n x n
+work buffers once per call and reuses them in place, so an iteration costs
+its two matrix products and a few elementwise passes, with no n x n
+allocation.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -20,52 +16,6 @@ HIT_CAP = 1
 DIVERGED = 2
 NONFINITE = 3
 STALLED = 4
-
-
-def jacobi_sweeps(a, q, tol, max_sweeps):
-    """Cyclic Jacobi rotations on symmetric ``a``, accumulating rotations in ``q``.
-
-    Mutates both arguments.  Returns ``(sweeps_done, max_offdiag)``; the caller
-    decides whether a leftover off-diagonal above ``tol`` is an error.
-    """
-    n = a.shape[0]
-    iu = np.triu_indices(n, 1)
-    sweeps = 0
-    while True:
-        off = np.abs(a[iu]).max() if n > 1 else 0.0
-        if off < tol or sweeps == max_sweeps:
-            return sweeps, float(off)
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apq = a[p, r]
-                if apq == 0.0:
-                    continue
-                app = a[p, p]
-                aqq = a[r, r]
-                theta = (aqq - app) / (2.0 * apq)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, r].copy()
-                new_p = c * col_p - s * col_q
-                new_q = s * col_p + c * col_q
-                a[:, p] = new_p
-                a[p, :] = new_p
-                a[:, r] = new_q
-                a[r, :] = new_q
-                a[p, p] = app - t * apq
-                a[r, r] = aqq + t * apq
-                a[p, r] = 0.0
-                a[r, p] = 0.0
-                vp = q[:, p].copy()
-                vq = q[:, r].copy()
-                q[:, p] = c * vp - s * vq
-                q[:, r] = s * vp + c * vq
-        sweeps += 1
 
 
 def newton_schulz(a, eps, max_iter):

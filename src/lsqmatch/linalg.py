@@ -1,32 +1,21 @@
-"""Dense matrix primitives: the Gram matrix, norms, and two symmetric eigensolvers.
+"""Dense matrix primitives: validation, the Gram matrix, and the extreme eigenvalues.
 
 ``extreme_eigenvalues`` gives the smallest and largest eigenvalue by
 Householder tridiagonalization and Sturm-sequence multisection; it is what
-the scale factors, the diagnostics and the benchmark's kappa use.
-``symmetric_eigen`` is the full cyclic-Jacobi decomposition, kept as the
-reference for eigenvectors and the whole spectrum.
+the optimal scale factor, the stall check and the benchmark's kappa use.
 
 Matrices are plain 2-D float64 numpy arrays.  ``as_matrix`` / ``symmetrize``
 are the validating constructors.  Input is validated once, where it enters
-the package (``solve_transform``, ``invert``, the eigensolvers, the matrix
-text format); ``gram``, the scale factors and ``rescale`` take trusted
+the package (``solve_transform``, ``invert``, ``extreme_eigenvalues``, the
+matrix text format); ``gram``, the scale factors and ``rescale`` take trusted
 finite float64 arrays and check nothing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from . import kernels
-
-#: Hard cap on Jacobi sweeps before the eigensolver gives up.
-MAX_JACOBI_SWEEPS = 100
-
-#: Default absolute threshold on the largest off-diagonal entry.
-DEFAULT_EIG_TOL = 1e-12
 
 #: Shifts placed inside each bracket per Sturm multisection step.
 MULTISECTION_SHIFTS = 63
@@ -34,18 +23,6 @@ MULTISECTION_SHIFTS = 63
 #: Absolute tolerance under which an almost-symmetric matrix is symmetrized
 #: rather than rejected.
 SYMMETRY_TOL = 1e-12
-
-
-class JacobiConvergenceError(RuntimeError):
-    """Eigensolver ran out of sweeps; ``offdiag`` holds the leftover residual."""
-
-    def __init__(self, offdiag: float, sweeps: int):
-        super().__init__(
-            f"Jacobi eigensolver did not converge after {sweeps} sweeps; "
-            f"largest off-diagonal entry is {offdiag:.3e}"
-        )
-        self.offdiag = offdiag
-        self.sweeps = sweeps
 
 
 def as_matrix(a) -> np.ndarray:
@@ -75,58 +52,10 @@ def symmetrize(a, tol: float = SYMMETRY_TOL) -> np.ndarray:
     return (out + out.T) * 0.5
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues sorted ascending; column k of ``vectors`` pairs with ``values[k]``."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
 def gram(x: np.ndarray) -> np.ndarray:
     """X'X of a trusted float64 matrix, symmetrized exactly: (i,j) == (j,i) bit-for-bit."""
     g = x.T @ x
     return (g + g.T) * 0.5
-
-
-def entrywise_max_abs(a) -> float:
-    """Largest absolute entry."""
-    return float(np.abs(as_matrix(a)).max())
-
-
-def infinity_norm(a) -> float:
-    """Maximum row sum of absolute values."""
-    return float(np.abs(as_matrix(a)).sum(axis=1).max())
-
-
-def scaled_eig_tol(a) -> float:
-    """Off-diagonal threshold proportional to the magnitude of ``a``.
-
-    An absolute threshold cannot be met by matrices with large entries (the
-    rotations keep reintroducing rounding noise at ``eps * max|a|`` scale), so
-    callers of :func:`symmetric_eigen` scale the default by the largest entry.
-    """
-    return DEFAULT_EIG_TOL * max(1.0, entrywise_max_abs(a))
-
-
-def symmetric_eigen(a, tol: float = DEFAULT_EIG_TOL) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
-
-    Sweeps run until the largest absolute off-diagonal entry drops below
-    ``tol``; raises :class:`JacobiConvergenceError` if that does not happen
-    within ``MAX_JACOBI_SWEEPS`` sweeps.
-    """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    w = symmetrize(a)
-    n = w.shape[0]
-    q = np.eye(n)
-    sweeps, off = kernels.jacobi_sweeps(w, q, float(tol), MAX_JACOBI_SWEEPS)
-    if off >= tol:
-        raise JacobiConvergenceError(off, sweeps)
-    values = np.diag(w).copy()
-    order = np.argsort(values, kind="stable")
-    return EigenDecomposition(values=values[order], vectors=q[:, order])
 
 
 def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,12 +166,3 @@ def extreme_eigenvalues(z) -> tuple[float, float]:
     mid = brackets.mean(axis=1) * scale
     return float(mid[0]), float(mid[1])
 
-
-def spectral_norm(a) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix.
-
-    Rejects inputs whose asymmetry exceeds ``SYMMETRY_TOL``; every residual
-    this package feeds in is symmetric by construction.
-    """
-    low, high = extreme_eigenvalues(a)
-    return max(-low, high)

@@ -39,8 +39,8 @@ class PipelineConfig:
     ms_per_op: float = 5.0
 
     def __post_init__(self):
-        if self.ms_per_op <= 0.0:
-            raise ValueError(f"ms_per_op must be positive, got {self.ms_per_op}")
+        if not 0.0 < self.ms_per_op < math.inf:
+            raise ValueError(f"ms_per_op must be finite and positive, got {self.ms_per_op}")
 
 
 @dataclass
@@ -65,8 +65,8 @@ def estimate_time_ms(ops: int, ms_per_op: float = 5.0) -> float:
     """Wall-time estimate when every matrix operation costs ``ms_per_op``."""
     if ops < 0:
         raise ValueError(f"ops must be nonnegative, got {ops}")
-    if ms_per_op <= 0.0:
-        raise ValueError(f"ms_per_op must be positive, got {ms_per_op}")
+    if not 0.0 < ms_per_op < math.inf:
+        raise ValueError(f"ms_per_op must be finite and positive, got {ms_per_op}")
     return ops * ms_per_op
 
 

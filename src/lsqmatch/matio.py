@@ -10,7 +10,8 @@ whitespace between values, and ``\\r\\n`` or ``\\r`` line ends.  The header
 is read in Python; the data lines go through numpy's C text reader
 (``np.loadtxt``) in one call.  Only when that reader fails, or its shape
 disagrees with the header, are the lines scanned again, to name the first
-faulty line in the error.
+faulty line in the error; a byte outside ASCII has ``load_matrix`` read the
+file again as bytes, to name its line.
 """
 
 from __future__ import annotations
@@ -44,8 +45,26 @@ def save_matrix(path: str | os.PathLike, a) -> None:
 
 def load_matrix(path: str | os.PathLike) -> np.ndarray:
     """Read a matrix file; errors name the file and the 1-based line."""
-    with open(path, "r", encoding="ascii") as fh:
-        return _read_matrix(fh, f"{os.fspath(path)}: ")
+    where = f"{os.fspath(path)}: "
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return _read_matrix(fh, where)
+    except UnicodeDecodeError:
+        raise ValueError(where + _first_non_ascii(path)) from None
+
+
+def _first_non_ascii(path: str | os.PathLike) -> str:
+    """Word the first byte of ``path`` at or above 0x80, by 1-based line.
+
+    Latin-1 maps each byte to the code point of its value, so this reads the
+    raw bytes with the same universal-newline line numbering as the reader.
+    """
+    with open(path, "r", encoding="latin-1") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.isascii():
+                byte = next(ord(char) for char in line if char > "\x7f")
+                return f"line {number}: non-ASCII byte {byte:#04x}"
+    return "non-ASCII byte"
 
 
 def _read_matrix(fh, where: str) -> np.ndarray:

@@ -2,21 +2,18 @@
 
 Three choices are provided: the optimal factor (needs the extreme
 eigenvalues), a trace-based factor, and a Gershgorin/diagonal factor that
-reads only one column-sum pass off the matrix.  Each comes in a diagnostics
-flavour (reports the rescaled eigenvalue farthest from 1 and the resulting
-contraction) and a value-only fast path; ``scale_factor`` maps a kind to its
-value.  The value functions and ``rescale`` take a trusted symmetric float64
-matrix, such as the output of ``linalg.gram``.
+reads only one column-sum pass off the matrix; ``scale_factor`` maps a kind
+to its value.  The factor functions and ``rescale`` take a trusted symmetric
+float64 matrix, such as the output of ``linalg.gram``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EigenDecomposition, extreme_eigenvalues
+from .linalg import extreme_eigenvalues
 
 
 class ScaleFactorKind(enum.Enum):
@@ -38,45 +35,13 @@ class ScaleFactorKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class ScaleDiagnostics:
-    """A scale factor plus the convergence geometry it induces.
-
-    ``omega`` is the eigenvalue of alpha*Z most different from 1;
-    ``contraction`` is |1 - omega|, the factor squared away per iteration.
-    """
-
-    alpha: float
-    kind: ScaleFactorKind
-    omega: float
-    contraction: float
-
-
-def _diagnostics(alpha: float, kind: ScaleFactorKind, lam_min: float, lam_max: float) -> ScaleDiagnostics:
-    mu_low = alpha * lam_min
-    mu_high = alpha * lam_max
-    # The extreme rescaled eigenvalues are the only candidates for "most
-    # different from 1"; break ties toward the smaller one.  The optimal
-    # factor makes the tie mathematically exact, so compare with slack to
-    # keep rounding noise from flipping the choice.
-    omega = mu_low if abs(1.0 - mu_low) >= abs(1.0 - mu_high) - 1e-12 else mu_high
-    return ScaleDiagnostics(alpha=alpha, kind=kind, omega=omega, contraction=abs(1.0 - omega))
-
-
-def alpha_optimal_bounds(lam_min: float, lam_max: float) -> ScaleDiagnostics:
+def alpha_optimal_bounds(lam_min: float, lam_max: float) -> float:
     """Optimal factor 2/(lam_max + lam_min) from known extreme eigenvalues."""
     if not lam_min > 0.0:
         raise ValueError(f"matrix is not positive definite: smallest eigenvalue {lam_min}")
     if lam_max < lam_min:
         raise ValueError("lam_max must be at least lam_min")
-    alpha = 2.0 / (lam_max + lam_min)
-    return _diagnostics(alpha, ScaleFactorKind.OPTIMAL, lam_min, lam_max)
-
-
-def alpha_optimal(eig: EigenDecomposition) -> ScaleDiagnostics:
-    """Optimal factor from a full eigendecomposition (ascending eigenvalues)."""
-    values = np.asarray(eig.values, dtype=np.float64)
-    return alpha_optimal_bounds(float(values[0]), float(values[-1]))
+    return 2.0 / (lam_max + lam_min)
 
 
 def alpha_trace_value(z: np.ndarray) -> float:
@@ -95,20 +60,6 @@ def alpha_gershgorin_value(z: np.ndarray) -> float:
     return 2.0 / denom
 
 
-def _diagnosed(z, alpha: float, kind: ScaleFactorKind) -> ScaleDiagnostics:
-    return _diagnostics(alpha, kind, *extreme_eigenvalues(z))
-
-
-def alpha_trace(z) -> ScaleDiagnostics:
-    """Trace-based factor with diagnostics from the extreme eigenvalues."""
-    return _diagnosed(z, alpha_trace_value(z), ScaleFactorKind.TRACE)
-
-
-def alpha_gershgorin(z) -> ScaleDiagnostics:
-    """Gershgorin/diagonal factor with diagnostics from the extreme eigenvalues."""
-    return _diagnosed(z, alpha_gershgorin_value(z), ScaleFactorKind.GERSHGORIN)
-
-
 def scale_factor(
     z: np.ndarray, kind: ScaleFactorKind, extremes: tuple[float, float] | None = None
 ) -> float:
@@ -124,7 +75,7 @@ def scale_factor(
         return alpha_gershgorin_value(z)
     if extremes is None:
         extremes = extreme_eigenvalues(z)
-    return alpha_optimal_bounds(*extremes).alpha
+    return alpha_optimal_bounds(*extremes)
 
 
 def rescale(z: np.ndarray, alpha: float) -> np.ndarray:

@@ -36,6 +36,9 @@ def test_record_validation():
         _rec(family="other")
     with pytest.raises(ValueError, match="kappa"):
         _rec(kappa=0.5)
+    with pytest.raises(ValueError, match="kappa"):
+        _rec(kappa=math.nan)
+    assert _rec(kappa=math.inf).kappa == math.inf  # a singular Gram matrix
 
 
 def test_fit_validation():
@@ -187,15 +190,15 @@ def _csv_text(value):
 
 
 def test_artifact_headers():
-    assert bench.RECORDS.header == bench.RECORD_HEADER == "family,n,m,kappa,alpha,iterations,converged,seed"
-    assert bench.FITS.header == bench.FIT_HEADER == "law,mean_dev,max_abs_dev,trials"
+    assert bench.RECORDS.header == "family,n,m,kappa,alpha,iterations,converged,seed"
+    assert bench.FITS.header == "law,mean_dev,max_abs_dev,trials"
 
 
 def test_csv_parse_errors():
     with pytest.raises(ValueError, match="header"):
         bench.RECORDS.parse_csv("nope\n")
     with pytest.raises(ValueError, match="fields"):
-        bench.RECORDS.parse_csv(bench.RECORD_HEADER + "\nmt,16,16\n")
+        bench.RECORDS.parse_csv(bench.RECORDS.header + "\nmt,16,16\n")
     with pytest.raises(ValueError, match="header"):
         bench.FITS.parse_csv("law,mean\n")
     good = bench.RECORDS.to_csv([_rec(), _rec()])
@@ -205,17 +208,22 @@ def test_csv_parse_errors():
         bench.RECORDS.parse_csv(good.replace("mt,16,", "mt,sixteen,", 1))
     with pytest.raises(ValueError, match="data row 1, column 'alpha'"):
         bench.RECORDS.parse_csv(good.replace("alpha0", "alpha9", 1))
+    with pytest.raises(ValueError, match="data row 1: unknown family token 'xx'"):
+        bench.RECORDS.parse_csv(good.replace("mt,", "xx,", 1))
+    header, first, second = good.splitlines()
+    with pytest.raises(ValueError, match="data row 2: kappa must be at least 1, got nan"):
+        bench.RECORDS.parse_csv("\n".join([header, first, second.replace(",64.0,", ",nan,")]))
 
 
 def test_emit_csv(tmp_path):
     path = tmp_path / "r.csv"
     bench.RECORDS.write([], path)
-    assert path.read_text() == bench.RECORD_HEADER + "\n"
+    assert path.read_text() == bench.RECORDS.header + "\n"
     bench.RECORDS.write([_rec()], path)
     assert len(path.read_text().splitlines()) == 2
     fits_path = tmp_path / "f.csv"
     bench.FITS.write([bench.LawFit("N1", 0.5, 1.0, 3)], fits_path)
-    assert fits_path.read_text().splitlines()[0] == bench.FIT_HEADER
+    assert fits_path.read_text().splitlines()[0] == bench.FITS.header
     with pytest.raises(OSError, match="missing"):
         bench.RECORDS.write([], tmp_path / "missing" / "r.csv")
 

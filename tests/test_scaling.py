@@ -3,7 +3,7 @@ import pytest
 
 import lsqmatch.scaling as sc
 from lsqmatch.generate import MoreToraldoSpec, more_toraldo, uniform_pattern
-from lsqmatch.linalg import extreme_eigenvalues, gram, scaled_eig_tol, symmetric_eigen
+from lsqmatch.linalg import extreme_eigenvalues, gram
 
 
 def test_kind_tokens():
@@ -17,23 +17,22 @@ def test_kind_tokens():
 
 
 def test_optimal_simple_pair():
-    d = sc.alpha_optimal_bounds(1.0, 2.0)
-    assert abs(d.alpha - 2.0 / 3.0) < 1e-15
-    assert abs(d.omega - 2.0 / 3.0) < 1e-15
-    assert abs(d.contraction - 1.0 / 3.0) < 1e-15
-    assert d.kind is sc.ScaleFactorKind.OPTIMAL
+    alpha = sc.alpha_optimal_bounds(1.0, 2.0)
+    assert abs(alpha - 2.0 / 3.0) < 1e-15
+    assert abs((1.0 - alpha) - 1.0 / 3.0) < 1e-15
 
 
 def test_optimal_equal_eigenvalues():
-    d = sc.alpha_optimal_bounds(4.0, 4.0)
-    assert d.alpha == 0.25
-    assert d.omega == 1.0
-    assert d.contraction == 0.0
+    alpha = sc.alpha_optimal_bounds(4.0, 4.0)
+    assert alpha == 0.25
+    assert alpha * 4.0 == 1.0
 
 
 def test_optimal_wide_spread():
-    d = sc.alpha_optimal_bounds(1.0, 63.0)
-    assert abs(d.contraction - 62.0 / 64.0) < 1e-15
+    """The rescaled ends sit symmetrically about 1, each 62/64 away."""
+    alpha = sc.alpha_optimal_bounds(1.0, 63.0)
+    assert abs((1.0 - alpha) - 62.0 / 64.0) < 1e-15
+    assert abs((alpha * 63.0 - 1.0) - 62.0 / 64.0) < 1e-15
 
 
 def test_optimal_rejects_nonpositive():
@@ -44,17 +43,16 @@ def test_optimal_rejects_nonpositive():
 
 
 def test_optimal_from_decomposition():
-    eig = symmetric_eigen(np.array([[5.0, 2.0], [2.0, 5.0]]))
-    d = sc.alpha_optimal(eig)
-    assert abs(d.alpha - 0.2) < 1e-14
+    """With no known extremes, the optimal factor computes them from the matrix."""
+    alpha = sc.scale_factor(np.array([[5.0, 2.0], [2.0, 5.0]]), sc.ScaleFactorKind.OPTIMAL)
+    assert abs(alpha - 0.2) < 1e-14
 
 
 def test_trace_examples():
     assert abs(sc.alpha_trace_value(np.diag([1.0, 2.0])) - 2.0 / 3.0) < 1e-15
     assert sc.alpha_trace_value(np.eye(4)) == 0.5
-    d = sc.alpha_trace(np.array([[5.0, 2.0], [2.0, 5.0]]))
-    assert abs(d.alpha - 0.2) < 1e-15  # n=2: trace equals eigenvalue sum
-    assert d.kind is sc.ScaleFactorKind.TRACE
+    # n=2: trace equals eigenvalue sum
+    assert abs(sc.alpha_trace_value(np.array([[5.0, 2.0], [2.0, 5.0]])) - 0.2) < 1e-15
     with pytest.raises(ValueError, match="not positive definite"):
         sc.alpha_trace_value(np.zeros((3, 3)))
 
@@ -63,9 +61,8 @@ def test_gershgorin_examples():
     assert sc.alpha_gershgorin_value(np.eye(3)) == 1.0
     assert abs(sc.alpha_gershgorin_value(np.array([[5.0, 2.0], [2.0, 5.0]])) - 1.0 / 6.0) < 1e-15
     assert abs(sc.alpha_gershgorin_value(np.diag([1.0, 4.0])) - 0.4) < 1e-15
-    d = sc.alpha_gershgorin(np.diag([1.0, 4.0]))
-    assert d.kind is sc.ScaleFactorKind.GERSHGORIN
-    assert abs(d.alpha - sc.alpha_optimal_bounds(1.0, 4.0).alpha) < 1e-15
+    optimal = sc.alpha_optimal_bounds(1.0, 4.0)
+    assert abs(sc.alpha_gershgorin_value(np.diag([1.0, 4.0])) - optimal) < 1e-15
     with pytest.raises(ValueError, match="not positive definite"):
         sc.alpha_gershgorin_value(-np.eye(2))
 
@@ -76,12 +73,12 @@ def test_scale_factor_dispatch():
         assert sc.scale_factor(z, sc.ScaleFactorKind.TRACE) == sc.alpha_trace_value(z)
         assert sc.scale_factor(z, sc.ScaleFactorKind.GERSHGORIN) == sc.alpha_gershgorin_value(z)
         optimal = sc.scale_factor(z, sc.ScaleFactorKind.OPTIMAL)
-        assert optimal == sc.alpha_optimal_bounds(*extreme_eigenvalues(z)).alpha
+        assert optimal == sc.alpha_optimal_bounds(*extreme_eigenvalues(z))
     _, z = more_toraldo(MoreToraldoSpec(8, 64.0), 5)
     for kind in sc.ScaleFactorKind:
         got = sc.scale_factor(z, kind, extremes=(1.0, 64.0))
         if kind is sc.ScaleFactorKind.OPTIMAL:
-            assert got == sc.alpha_optimal_bounds(1.0, 64.0).alpha
+            assert got == sc.alpha_optimal_bounds(1.0, 64.0)
         else:
             assert got == sc.scale_factor(z, kind)
     with pytest.raises(ValueError, match="not positive definite"):
@@ -110,8 +107,8 @@ def _spd_samples():
 def test_ordering_against_optimal():
     """Both practical factors stay at or below the optimal one."""
     for z in _spd_samples():
-        eig = symmetric_eigen(z, tol=scaled_eig_tol(z))
-        a0 = sc.alpha_optimal(eig).alpha
+        w = np.linalg.eigvalsh(z)
+        a0 = sc.alpha_optimal_bounds(w[0], w[-1])
         assert sc.alpha_trace_value(z) <= a0 * (1 + 1e-12)
         assert sc.alpha_gershgorin_value(z) <= a0 * (1 + 1e-12)
 
@@ -119,43 +116,35 @@ def test_ordering_against_optimal():
 def test_trace_equals_optimal_for_two_dims():
     for seed in (31, 32, 33):
         z = gram(uniform_pattern(10, 2, seed))
-        eig = symmetric_eigen(z, tol=scaled_eig_tol(z))
-        a0 = sc.alpha_optimal(eig).alpha
+        w = np.linalg.eigvalsh(z)
+        a0 = sc.alpha_optimal_bounds(w[0], w[-1])
         assert abs(sc.alpha_trace_value(z) - a0) < 1e-12 * a0
 
 
 def test_rescaled_spectrum_in_region():
     """Every scale kind maps a positive definite matrix into spectrum (0, 2)."""
     for z in _spd_samples():
-        eig = symmetric_eigen(z, tol=scaled_eig_tol(z))
+        w = np.linalg.eigvalsh(z)
         alphas = [
-            sc.alpha_optimal(eig).alpha,
+            sc.alpha_optimal_bounds(w[0], w[-1]),
             sc.alpha_trace_value(z),
             sc.alpha_gershgorin_value(z),
         ]
         for alpha in alphas:
             a = sc.rescale(z, alpha)
-            w = symmetric_eigen(a, tol=scaled_eig_tol(a)).values
-            assert w[0] > 0.0
-            assert w[-1] < 2.0
+            wa = np.linalg.eigvalsh(a)
+            assert wa[0] > 0.0
+            assert wa[-1] < 2.0
 
 
 def test_scale_invariance_of_diagnostics():
+    """Scaling Z by c scales alpha0 by 1/c and leaves the rescaled spectrum fixed."""
     _, z = more_toraldo(MoreToraldoSpec(6, 40.0), 555)
-    eig = symmetric_eigen(z, tol=scaled_eig_tol(z))
-    base = sc.alpha_optimal(eig)
+    w = np.linalg.eigvalsh(z)
+    base = sc.alpha_optimal_bounds(w[0], w[-1])
     for c in (0.25, 3.0, 1e4):
-        zc = z * c
-        eig_c = symmetric_eigen(zc, tol=scaled_eig_tol(zc))
-        d = sc.alpha_optimal(eig_c)
-        assert abs(d.alpha - base.alpha / c) < 1e-10 * base.alpha / c
-        assert abs(d.omega - base.omega) < 1e-10
-        assert abs(d.contraction - base.contraction) < 1e-10
-
-
-def test_diagnostics_contraction_identity():
-    for z in _spd_samples():
-        d = sc.alpha_gershgorin(z)
-        assert d.contraction == abs(1.0 - d.omega)
-        assert 0.0 < d.omega < 2.0
-        assert d.contraction < 1.0
+        wc = np.linalg.eigvalsh(z * c)
+        alpha = sc.alpha_optimal_bounds(wc[0], wc[-1])
+        assert abs(alpha - base / c) < 1e-10 * base / c
+        assert abs(alpha * wc[0] - base * w[0]) < 1e-10
+        assert abs(alpha * wc[-1] - base * w[-1]) < 1e-10
