@@ -249,17 +249,17 @@ def summarize_cells(records: list[TrialRecord]) -> list[CellSummary]:
 def fit_laws(records: list[TrialRecord]) -> list[LawFit]:
     """Deviation of observed counts from each scale kind's reference law.
 
-    Expects conditioned-family records (exact kappa).  Non-converged trials
-    are excluded from the statistics; an empty record set is an error.
+    Expects conditioned-family records (exact, finite kappa).  Non-converged
+    trials are excluded from the statistics; an empty record set is an error.
     """
     if not records:
         raise ValueError("cannot fit laws to an empty record set")
-    bad = [r.family for r in records if r.family != "mt"]
-    if bad:
-        raise ValueError(
-            "law fitting needs conditioned-family records with exact kappa; "
-            f"got family {bad[0]!r}"
-        )
+    for index, r in enumerate(records, 1):
+        if r.family != "mt" or not math.isfinite(r.kappa):
+            raise ValueError(
+                "law fitting needs conditioned-family records with exact, finite kappa; "
+                f"record {index} has family {r.family!r}, kappa {r.kappa!r}"
+            )
     fits = []
     for kind in ScaleFactorKind:
         devs = [

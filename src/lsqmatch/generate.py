@@ -51,19 +51,26 @@ class SplitMix64:
         """Next ``count`` uniform values strictly inside (-1, 1).
 
         The state sequence is affine (state_k = seed + k * GOLDEN mod 2^64),
-        so the whole batch is computed in one vectorized pass.
+        so the batch is mixed in place in one uint64 buffer (the output is the
+        scratch); value k is ((mix64(state_k) >> 11) + 1/2) * 2^-52 - 1.
         """
         if count < 1:
             raise ValueError(f"count must be at least 1, got {count}")
-        steps = np.arange(1, count + 1, dtype=np.uint64)
-        z = np.uint64(self._state) + steps * np.uint64(GOLDEN)
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(GOLDEN)
+        z += np.uint64(self._state)
         self._state = (self._state + count * GOLDEN) & MASK
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-        z ^= z >> np.uint64(31)
-        # (top 53 bits + 1/2) / 2^53 lies strictly inside (0, 1); stretch to (-1, 1).
-        u = ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        return 2.0 * u - 1.0
+        out = np.empty(count)
+        scratch = out.view(np.uint64)
+        z ^= np.right_shift(z, np.uint64(30), out=scratch)
+        z *= np.uint64(_MIX_A)
+        z ^= np.right_shift(z, np.uint64(27), out=scratch)
+        z *= np.uint64(_MIX_B)
+        z ^= np.right_shift(z, np.uint64(31), out=scratch)
+        z >>= np.uint64(11)
+        np.add(z, 0.5, out=out)
+        out *= 2.0**-52
+        return np.subtract(out, 1.0, out=out)
 
 
 def householder(h) -> np.ndarray:

@@ -97,22 +97,31 @@ def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _sturm_counts(d: np.ndarray, e2: np.ndarray, pivmin: float, shifts: np.ndarray) -> np.ndarray:
     """Number of eigenvalues of the tridiagonal (d, e**2) below each shift.
 
-    Counts the negative pivots of the LDL' factorization of T - shift I.  A
-    pivot smaller than ``pivmin`` in magnitude is replaced by ``-pivmin``, as
-    LAPACK's dstebz does, so that the next quotient cannot overflow; a zero
-    off-diagonal (a split tridiagonal) needs no special case.
+    Counts the negative pivots q_i = (d_i - shift) - e2_{i-1} / q_{i-1} of the
+    LDL' factorization of T - shift I, for all shifts at once in one n x S
+    array.  LAPACK's dstebz floors a pivot in (-pivmin, pivmin) to -pivmin, so
+    the next quotient cannot overflow.  That changes no other pivot, so the
+    pass runs unfloored; if it made such a pivot, the first row holding one is
+    floored and the rows below are recomputed from d - shift, now flooring
+    each row as it comes.  A zero e (a split tridiagonal) needs no special case.
     """
-    rows = d[:, None] - shifts
-    negative = np.empty(rows.shape, dtype=bool)
-    q = rows[0].copy()
-    for i in range(len(d)):
-        if i:
-            np.divide(e2[i - 1], q, out=q)
-            np.subtract(rows[i], q, out=q)
-        # After the floor, a pivot is negative exactly when it was below pivmin.
-        np.less(q, pivmin, out=negative[i])
-        np.minimum(q, -pivmin, out=q, where=negative[i])
-    return negative.sum(axis=0)
+    q = d[:, None] - shifts
+    rows, e2, quotient, start = list(q), e2.tolist(), np.empty_like(shifts), 1
+    floor_each_row = False
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while True:
+            for e2_above, above, row in zip(e2[start - 1 :], rows[start - 1 :], rows[start:]):
+                np.divide(e2_above, above, out=quotient)
+                np.subtract(row, quotient, out=row)
+                if floor_each_row:
+                    np.copyto(row, -pivmin, where=np.abs(row) < pivmin)
+            tiny = np.abs(q) < pivmin
+            if not tiny.any():
+                return (q < 0.0).sum(axis=0)
+            start = int(tiny.any(axis=1).argmax()) + 1
+            q[start - 1, tiny[start - 1]] = -pivmin
+            q[start:] = d[start:, None] - shifts
+            floor_each_row = True
 
 
 def extreme_eigenvalues(z) -> tuple[float, float]:

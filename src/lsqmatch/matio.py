@@ -50,10 +50,10 @@ def load_matrix(path: str | os.PathLike) -> np.ndarray:
         with open(path, "r", encoding="ascii") as fh:
             return _read_matrix(fh, where)
     except UnicodeDecodeError:
-        raise ValueError(where + _first_non_ascii(path)) from None
+        raise ValueError(where + first_non_ascii(path)) from None
 
 
-def _first_non_ascii(path: str | os.PathLike) -> str:
+def first_non_ascii(path: str | os.PathLike) -> str:
     """Word the first byte of ``path`` at or above 0x80, by 1-based line.
 
     Latin-1 maps each byte to the code point of its value, so this reads the

@@ -5,6 +5,7 @@ verbose pytest run prints one pass/fail line per check.  Tolerances are pinned
 in the assertions.  All randomness is seeded, so reruns are bit-identical.
 """
 
+import hashlib
 import math
 import time
 
@@ -271,6 +272,24 @@ def test_criterion_09_solver_vs_elimination_oracle():
         if i % 2 == 0:
             target_norm = math.sqrt(float((m * m).sum()))
             assert result.distance < 1e-4 * target_norm
+
+
+#: SHA-256 of the CSV that ``bench table1 --trials 1 --seed 42`` writes, recorded
+#: with numpy 2.4.6 and its bundled OpenBLAS on x86-64.
+TABLE1_TRIALS1_SEED42_SHA256 = "71583b6de3f091bc99a9415018948f8b2675073fdf2431044b7c7794ca0db739"
+
+
+def test_table1_records_match_recorded_digest(tmp_path):
+    """``bench table1 --trials 1 --seed 42`` writes the same bytes as recorded.
+
+    Criterion 10 checks that two runs of one tree agree; this pins the records
+    across changes to the code, so that a speed-up cannot move an output bit
+    unnoticed.  A change that alters output bits on purpose updates the digest
+    and says why in CHANGES.md.
+    """
+    out = tmp_path / "t1.csv"
+    assert cli_main(["bench", "table1", "--trials", "1", "--seed", "42", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TABLE1_TRIALS1_SEED42_SHA256
 
 
 def test_criterion_10_benchmark_determinism(tmp_path):

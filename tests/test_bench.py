@@ -145,6 +145,8 @@ def test_fit_laws_errors():
         bench.fit_laws([_rec(family="uniform")])
     with pytest.raises(ValueError, match="no converged"):
         bench.fit_laws([_rec(converged=False)])
+    with pytest.raises(ValueError, match="finite kappa; record 2 has family 'mt', kappa inf"):
+        bench.fit_laws([_rec(), _rec(kappa=math.inf, converged=False), _rec()])
 
 
 _ROUNDTRIP_ITEMS = {

@@ -242,6 +242,30 @@ def test_bench_fit_bad_field_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err == "error: data row 1: kappa must be at least 1, got nan\n"
 
 
+def test_bench_fit_non_ascii_byte_names_file_and_line(tmp_path, capsys):
+    records_path, fits_path = tmp_path / "r.csv", tmp_path / "f.csv"
+    rec = bench.TrialRecord("mt", 16, 16, 64.0, bench.ScaleFactorKind.OPTIMAL, 9, True, 7)
+    text = bench.RECORDS.to_csv([rec]).replace(",7\n", ",\xff7\n")
+    records_path.write_bytes(text.encode("latin-1"))
+    rc = main(["bench", "fit", "--in", str(records_path), "--out", str(fits_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {records_path}: line 2: non-ASCII byte 0xff\n"
+    assert not fits_path.exists()
+
+
+def test_bench_fit_infinite_kappa_exits_one(tmp_path, capsys):
+    records_path, fits_path = tmp_path / "r.csv", tmp_path / "f.csv"
+    rec = bench.TrialRecord("mt", 16, 16, 64.0, bench.ScaleFactorKind.OPTIMAL, 9, True, 7)
+    records_path.write_text(bench.RECORDS.to_csv([rec]).replace(",64.0,", ",inf,"))
+    for check in ([], ["--check"]):
+        rc = main(["bench", "fit", "--in", str(records_path), "--out", str(fits_path), *check])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: law fitting needs")
+        assert "record 1 has family 'mt', kappa inf" in err
+        assert not fits_path.exists()
+
+
 def test_bench_out_directory_missing_exits_one(tmp_path, capsys):
     rc = main(
         ["bench", "mt", "--trials", "1", "--out", str(tmp_path / "no_dir" / "r.csv")]

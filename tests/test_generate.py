@@ -31,6 +31,33 @@ def test_stream_is_deterministic_and_resumable():
     assert np.array_equal(np.concatenate([first, rest]), a)
 
 
+def _scalar_stream(seed, first, count):
+    """Values ``first`` .. ``first + count - 1`` of the stream, one Python float at a time."""
+    mask = (1 << 64) - 1
+    return [
+        ((mix64((seed + k * GOLDEN) & mask) >> 11) + 0.5) * 2.0**-52 - 1.0
+        for k in range(first, first + count)
+    ]
+
+
+@pytest.mark.parametrize(
+    "seed",
+    # GOLDEN > 2^63, so every state wraps past 2^64 within two steps; the
+    # fifth seed wraps at the first step, the last starts beyond 64 bits.
+    [0, 12345, 2**63 - 1, (1 << 64) - 1, (1 << 64) - GOLDEN + 3, (1 << 64) + 7],
+)
+def test_stream_matches_scalar_formula(seed):
+    count = 1000
+    expected = np.array(_scalar_stream(seed, 1, count))
+    assert SplitMix64(seed).take(count).tobytes() == expected.tobytes()
+    stream = SplitMix64(seed)
+    first = stream.take(7)
+    rest = stream.take(count - 7)
+    assert first.tobytes() == expected[:7].tobytes()
+    assert rest.tobytes() == expected[7:].tobytes()
+    assert stream.take(1).tobytes() == np.array(_scalar_stream(seed, count + 1, 1)).tobytes()
+
+
 def test_stream_values_strictly_inside_interval():
     v = SplitMix64(999).take(4096)
     assert v.min() > -1.0

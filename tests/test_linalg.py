@@ -168,6 +168,80 @@ def test_extreme_eigenvalues_structured():
         _assert_extremes(z, w[0], w[-1])
 
 
+def _scalar_sturm_count(d, e2, pivmin, shift):
+    """Negative LDL' pivots of T - shift I, one row at a time, as dstebz counts them.
+
+    A pivot of magnitude below ``pivmin`` becomes ``-pivmin`` before the next
+    quotient.  Returns the count and, for each floored pivot, its row and
+    whether it was nonzero.
+    """
+    count, q, floored = 0, 1.0, []
+    for i, di in enumerate(d):
+        q = di - shift if i == 0 else (di - shift) - e2[i - 1] / q
+        if abs(q) < pivmin:
+            floored.append((i, q != 0.0))
+            q = -pivmin
+        count += q < 0.0
+    return count, floored
+
+
+def test_sturm_counts_floor_and_restart():
+    """The batched pass equals the scalar recurrence where pivots hit the floor.
+
+    Shifts equal to diagonal entries give pivots of exactly 0, shifts of
+    +-pivmin/2 beside a zero diagonal entry give pivots strictly inside
+    (-pivmin, pivmin), and zero off-diagonals (a split tridiagonal) put such
+    pivots below the first row, so the pass floors a row and resumes below it.
+    """
+    tiny = np.finfo(np.float64).tiny
+    rng = np.random.default_rng(11)
+    cases = [
+        (np.array([0.0, 0.5, 0.0, -0.25, 0.0, 1.0]), np.array([0.75, 0.0, 0.5, 0.0, 0.25])),
+        (np.array([0.0, 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])),
+        (np.array([2.0, 2.0, 2.0, 5.0, 5.0]), np.zeros(4)),
+        (np.array([0.5, 0.0, 0.0]), np.array([1e-160, 0.0])),
+        (rng.uniform(-1.0, 1.0, 12), np.where(rng.random(11) < 0.3, 0.0, rng.uniform(-1, 1, 11))),
+    ]
+    floored = set()
+    for d, e in cases:
+        e2 = e * e
+        pivmin = tiny * max(1.0, float(e2.max()))
+        near_zero = pivmin * np.array([0.5, -0.5, 1.0, -1.0])
+        shifts = np.r_[d, -d, 0.0, -0.0, near_zero, rng.uniform(-3.0, 3.0, 8)]
+        reference = [
+            _scalar_sturm_count(d.tolist(), e2.tolist(), pivmin, s) for s in shifts.tolist()
+        ]
+        counts = la._sturm_counts(d, e2, pivmin, shifts)
+        assert counts.tolist() == [count for count, _ in reference], (d, e)
+        floored.update(pivot for _, pivots in reference for pivot in pivots)
+    # Zero and nonzero pivots were floored, in the first row and below it.
+    assert {(0, False), (0, True), (2, False), (2, True)} <= floored
+
+
+def test_sturm_restart_recomputes_each_row_at_most_twice(monkeypatch):
+    """A pass that restarts floors the rows below as it goes, so it ends there.
+
+    The identity puts an exact zero pivot in every row at a shift equal to
+    its diagonal; restarting once per such row would make a call quadratic in
+    n.  Each row below the first costs one ``np.divide`` call per pass.
+    """
+    n, divisions, calls = 64, [], []
+    divide, sturm_counts = np.divide, la._sturm_counts
+
+    def counting_divide(*args, **kwargs):
+        divisions.append(None)
+        return divide(*args, **kwargs)
+
+    def counting_sturm_counts(*args):
+        calls.append(None)
+        return sturm_counts(*args)
+
+    monkeypatch.setattr(np, "divide", counting_divide)
+    monkeypatch.setattr(la, "_sturm_counts", counting_sturm_counts)
+    assert la.extreme_eigenvalues(np.eye(n)) == (1.0, 1.0)
+    assert (n - 1) * len(calls) < len(divisions) <= 2 * (n - 1) * len(calls)
+
+
 def test_extreme_eigenvalues_rejects_asymmetric():
     with pytest.raises(ValueError, match="not symmetric"):
         la.extreme_eigenvalues(np.array([[1.0, 2.0], [2.1, 3.0]]))
