@@ -2,7 +2,10 @@
 
 Two matrix families are exercised: conditioned SPD matrices with a known
 spectrum (family token ``mt``) and Gram matrices of uniform random patterns
-(family token ``uniform``).  Iteration counts per scale factor follow simple
+(family token ``uniform``).  Both suites only build their cells; one trial
+loop scales, rescales and inverts each cell's matrix for each scale kind and
+records the result.  ``mt`` always runs all three kinds, ``table1`` the two
+that need no spectrum.  Iteration counts per scale factor follow simple
 empirical laws in log2(kappa) and log2(n); ``fit_laws`` measures deviations
 against those reference lines.
 
@@ -16,6 +19,7 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import product
 from operator import attrgetter
 from typing import Any
 
@@ -60,6 +64,10 @@ class TrialRecord:
     def __post_init__(self):
         if self.family not in ("mt", "uniform"):
             raise ValueError(f"unknown family token {self.family!r}")
+        if not 1 <= self.n <= self.m:
+            raise ValueError(f"need 1 <= n <= m, got n={self.n}, m={self.m}")
+        if self.iterations < 0:
+            raise ValueError(f"iterations must be nonnegative, got {self.iterations}")
         # Written so that NaN fails; inf stays valid (a singular Gram matrix).
         if not self.kappa >= 1.0:
             raise ValueError(f"kappa must be at least 1, got {self.kappa}")
@@ -108,54 +116,54 @@ def predicted_iterations(kind: ScaleFactorKind, n: int, kappa: float) -> float:
     return lk + math.log2(n) / 3.0 + N2_CONSTANT
 
 
+def _run_trials(cells, kinds, cfg: InversionConfig | None) -> list[TrialRecord]:
+    """The one trial loop: for each cell and each kind, scale, rescale, invert.
+
+    A cell is ``(family, n, m, kappa, extremes, z, seed)``, where ``extremes``
+    is z's known ``(low, high)`` spectrum or None.  A matrix that admits no
+    scale factor (a zero trace, say) gives a 0-iteration, non-converged record.
+    """
+    records = []
+    for family, n, m, kappa, extremes, z, seed in cells:
+        for kind in kinds:
+            try:
+                alpha = scale_factor(z, kind, extremes)
+            except ValueError:
+                iterations, converged = 0, False
+            else:
+                report = invert(rescale(z, alpha), cfg)
+                iterations, converged = report.iterations, report.converged
+            records.append(TrialRecord(family, n, m, kappa, kind, iterations, converged, seed))
+    return records
+
+
 def run_mt_suite(
     grid=DEFAULT_MT_GRID,
     trials_per_cell: int = DEFAULT_TRIALS,
-    scale_kinds=tuple(ScaleFactorKind),
     cfg: InversionConfig | None = None,
     seed: int = 42,
 ) -> list[TrialRecord]:
-    """Invert conditioned test matrices over a (n, kappa) grid.
+    """Invert conditioned test matrices over a (n, kappa) grid, all three kinds.
 
     The optimal scale factor is computed from the construction's known
     spectrum (smallest eigenvalue 1, largest kappa) — no eigensolve; the
     trace and row-sum factors read the generated matrix alone.  Every trial
     is recorded, converged or not.
     """
-    grid = list(grid)
-    if not grid:
+    specs = [MoreToraldoSpec(int(n), float(kappa)) for n, kappa in grid]
+    if not specs:
         raise ValueError("grid must not be empty")
     if trials_per_cell < 1:
         raise ValueError(f"trials_per_cell must be at least 1, got {trials_per_cell}")
-    if cfg is None:
-        cfg = InversionConfig()
-    chosen = set(scale_kinds)
-    kinds = [k for k in ScaleFactorKind if k in chosen]
-    if not kinds:
-        raise ValueError("scale_kinds must not be empty")
 
-    records = []
-    for cell_idx, (n, kappa) in enumerate(grid):
-        spec = MoreToraldoSpec(int(n), float(kappa))
-        for trial in range(trials_per_cell):
-            child = derive_seed(seed, cell_idx * trials_per_cell + trial)
-            _, z = more_toraldo(spec, child)
-            for kind in kinds:
-                alpha = scale_factor(z, kind, extremes=(1.0, spec.kappa))
-                report = invert(rescale(z, alpha), cfg)
-                records.append(
-                    TrialRecord(
-                        family="mt",
-                        n=spec.n,
-                        m=spec.n,
-                        kappa=spec.kappa,
-                        scale_kind=kind,
-                        iterations=report.iterations,
-                        converged=report.converged,
-                        seed=child,
-                    )
-                )
-    return records
+    def cells():
+        for cell_idx, spec in enumerate(specs):
+            for trial in range(trials_per_cell):
+                child = derive_seed(seed, cell_idx * trials_per_cell + trial)
+                _, z = more_toraldo(spec, child)
+                yield "mt", spec.n, spec.n, spec.kappa, (1.0, spec.kappa), z, child
+
+    return _run_trials(cells(), tuple(ScaleFactorKind), cfg)
 
 
 def run_table1_suite(
@@ -168,81 +176,39 @@ def run_table1_suite(
     """Invert Gram matrices of uniform patterns over a (n, m/n) size grid.
 
     Scale kinds are the two that need no spectral oracle (trace and row-sum);
-    the condition number recorded is measured from the generated matrix.  A
-    numerically singular Gram matrix is recorded as a non-converged trial.
+    kappa is measured from the generated matrix (``inf`` if singular).  A
+    singular Gram matrix is recorded as a non-converged trial.
     """
-    n_values = [int(v) for v in n_values]
-    ratios = [int(r) for r in m_over_n]
-    if not n_values or not ratios:
+    sizes = [(int(n), int(ratio) * int(n)) for n, ratio in product(n_values, m_over_n)]
+    if not sizes:
         raise ValueError("size grid must not be empty")
     if trials_per_cell < 1:
         raise ValueError(f"trials_per_cell must be at least 1, got {trials_per_cell}")
-    if cfg is None:
-        cfg = InversionConfig()
-    kinds = [ScaleFactorKind.TRACE, ScaleFactorKind.GERSHGORIN]
 
-    records = []
-    cell_idx = 0
-    for n in n_values:
-        for ratio in ratios:
-            m = ratio * n
+    def cells():
+        for cell_idx, (n, m) in enumerate(sizes):
             for trial in range(trials_per_cell):
                 child = derive_seed(seed, cell_idx * trials_per_cell + trial)
-                x = uniform_pattern(m, n, child)
-                z = gram(x)
+                z = gram(uniform_pattern(m, n, child))
                 low, high = extreme_eigenvalues(z)
                 kappa = math.inf if low <= 0.0 else max(1.0, high / low)
-                for kind in kinds:
-                    try:
-                        alpha = scale_factor(z, kind)
-                    except ValueError:
-                        records.append(
-                            TrialRecord("uniform", n, m, kappa, kind, 0, False, child)
-                        )
-                        continue
-                    report = invert(rescale(z, alpha), cfg)
-                    records.append(
-                        TrialRecord(
-                            family="uniform",
-                            n=n,
-                            m=m,
-                            kappa=kappa,
-                            scale_kind=kind,
-                            iterations=report.iterations,
-                            converged=report.converged,
-                            seed=child,
-                        )
-                    )
-            cell_idx += 1
-    return records
+                yield "uniform", n, m, kappa, None, z, child
+
+    return _run_trials(cells(), (ScaleFactorKind.TRACE, ScaleFactorKind.GERSHGORIN), cfg)
 
 
 def summarize_cells(records: list[TrialRecord]) -> list[CellSummary]:
     """Per-cell mean and population standard deviation of converged counts."""
-    order: list[tuple] = []
     buckets: dict[tuple, list[int]] = {}
     for rec in records:
-        key = (rec.n, rec.m, rec.scale_kind)
-        if key not in buckets:
-            buckets[key] = []
-            order.append(key)
+        counts = buckets.setdefault((rec.n, rec.m, rec.scale_kind), [])
         if rec.converged:
-            buckets[key].append(rec.iterations)
+            counts.append(rec.iterations)
     out = []
-    for key in order:
-        counts = np.asarray(buckets[key], dtype=np.float64)
-        if counts.size == 0:
-            continue
-        out.append(
-            CellSummary(
-                n=key[0],
-                m=key[1],
-                scale_kind=key[2],
-                mean_iterations=float(counts.mean()),
-                sd_iterations=float(counts.std()),
-                trials=int(counts.size),
-            )
-        )
+    for (n, m, kind), counts in buckets.items():
+        if counts:
+            arr = np.asarray(counts, dtype=np.float64)
+            out.append(CellSummary(n, m, kind, float(arr.mean()), float(arr.std()), arr.size))
     return out
 
 

@@ -36,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen_mt.add_argument("--seed", type=int, default=42)
     gen_mt.add_argument("--out", required=True, help="output path (matrix text format)")
 
-    gen_uni = gen_sub.add_parser("uniform", help="uniform(-1,1) pattern matrix")
+    gen_uni = gen_sub.add_parser("uniform", help="uniform pattern matrix, entries in [-1, 1]")
     gen_uni.add_argument("--m", type=int, required=True, help="rows (at least n)")
     gen_uni.add_argument("--n", type=int, required=True, help="columns")
     gen_uni.add_argument("--seed", type=int, default=42)
@@ -58,28 +58,20 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p = top.add_parser("bench", help="benchmark suites and law fits")
     bench_sub = bench_p.add_subparsers(dest="suite", required=True)
 
-    bench_mt = bench_sub.add_parser("mt", help="conditioned-matrix iteration counts")
-    bench_mt.add_argument("--grid", choices=["default"], default="default")
-    bench_mt.add_argument("--trials", type=int, default=bench.DEFAULT_TRIALS)
-    bench_mt.add_argument("--eps", type=float, default=1e-6)
-    bench_mt.add_argument("--max-iter", type=int, default=200)
-    bench_mt.add_argument("--seed", type=int, default=42)
-    bench_mt.add_argument("--out", required=True)
-    bench_mt.add_argument("--format", choices=["csv", "json"], default="csv")
-    bench_mt.add_argument(
-        "--check", action="store_true", help="exit 2 if any trial failed to converge"
-    )
-
-    bench_t1 = bench_sub.add_parser("table1", help="uniform-pattern size-grid counts")
-    bench_t1.add_argument("--trials", type=int, default=bench.DEFAULT_TRIALS)
-    bench_t1.add_argument("--eps", type=float, default=1e-6)
-    bench_t1.add_argument("--max-iter", type=int, default=200)
-    bench_t1.add_argument("--seed", type=int, default=42)
-    bench_t1.add_argument("--out", required=True)
-    bench_t1.add_argument("--format", choices=["csv", "json"], default="csv")
-    bench_t1.add_argument(
-        "--check", action="store_true", help="exit 2 if any trial failed to converge"
-    )
+    for suite, help_text in (
+        ("mt", "conditioned-matrix iteration counts"),
+        ("table1", "uniform-pattern size-grid counts"),
+    ):
+        suite_p = bench_sub.add_parser(suite, help=help_text)
+        suite_p.add_argument("--trials", type=int, default=bench.DEFAULT_TRIALS)
+        suite_p.add_argument("--eps", type=float, default=1e-6)
+        suite_p.add_argument("--max-iter", type=int, default=200)
+        suite_p.add_argument("--seed", type=int, default=42)
+        suite_p.add_argument("--out", required=True)
+        suite_p.add_argument("--format", choices=["csv", "json"], default="csv")
+        suite_p.add_argument(
+            "--check", action="store_true", help="exit 2 if any trial failed to converge"
+        )
 
     bench_fit = bench_sub.add_parser("fit", help="fit iteration-count laws to a records CSV")
     bench_fit.add_argument("--in", dest="infile", required=True, help="records CSV from bench mt")
@@ -130,10 +122,8 @@ def _cmd_bench(args) -> int:
         problems = bench.check_fits(fits) + bench.check_records(records)
     else:
         cfg = InversionConfig(epsilon=args.eps, max_iterations=args.max_iter)
-        if args.suite == "mt":
-            records = bench.run_mt_suite(trials_per_cell=args.trials, cfg=cfg, seed=args.seed)
-        else:
-            records = bench.run_table1_suite(trials_per_cell=args.trials, cfg=cfg, seed=args.seed)
+        run = bench.run_mt_suite if args.suite == "mt" else bench.run_table1_suite
+        records = run(trials_per_cell=args.trials, cfg=cfg, seed=args.seed)
         bench.RECORDS.write(records, args.out, args.format)
         if args.suite == "table1":
             for cell in bench.summarize_cells(records):

@@ -1,9 +1,9 @@
 """Seeded generation of the two benchmark matrix families.
 
 Everything here is a pure function of (parameters, seed).  Randomness comes
-from a splitmix-style 64-bit shift/multiply generator mapped onto the open
-interval (-1, 1) by scaling the top 53 bits, so sequences are reproducible
-bit-for-bit without external dependencies.
+from a splitmix-style 64-bit shift/multiply generator mapped onto
+[-1 + 2^-53, 1] by scaling the top 53 bits (see ``SplitMix64.take``), so
+sequences are reproducible bit-for-bit without external dependencies.
 """
 
 from __future__ import annotations
@@ -48,11 +48,13 @@ class SplitMix64:
         self._state = seed & MASK
 
     def take(self, count: int) -> np.ndarray:
-        """Next ``count`` uniform values strictly inside (-1, 1).
+        """Next ``count`` uniform values in [-1 + 2^-53, 1].
 
         The state sequence is affine (state_k = seed + k * GOLDEN mod 2^64),
         so the batch is mixed in place in one uint64 buffer (the output is the
-        scratch); value k is ((mix64(state_k) >> 11) + 1/2) * 2^-52 - 1.
+        scratch); value k is (j + 1/2) * 2^-52 - 1 for j = mix64(state_k) >> 11,
+        exact for j < 2^52.  For j >= 2^52, j + 1/2 rounds to even, so the upper
+        half lies on the 2^-51 grid of [0, 1] and can be exactly 0.0 or 1.0.
         """
         if count < 1:
             raise ValueError(f"count must be at least 1, got {count}")
@@ -116,7 +118,7 @@ def more_toraldo(spec: MoreToraldoSpec, seed: int) -> tuple[np.ndarray, np.ndarr
 
 
 def uniform_pattern(m: int, n: int, seed: int) -> np.ndarray:
-    """m-by-n pattern matrix of independent uniform(-1, 1) entries."""
+    """m-by-n pattern matrix of independent uniform entries in [-1 + 2^-53, 1]."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if m < n:

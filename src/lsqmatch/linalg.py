@@ -37,18 +37,20 @@ def as_matrix(a) -> np.ndarray:
     return np.ascontiguousarray(out)
 
 
-def symmetrize(a, tol: float = SYMMETRY_TOL) -> np.ndarray:
+def symmetrize(a) -> np.ndarray:
     """Return the exactly symmetric average of ``a`` and its transpose.
 
     Accepts square matrices whose asymmetry ``max|a_ij - a_ji|`` is at most
-    ``tol``; anything worse is rejected rather than silently averaged away.
+    ``SYMMETRY_TOL``; anything worse is rejected, not silently averaged away.
     """
     out = as_matrix(a)
     if out.shape[0] != out.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {out.shape}")
     gap = float(np.abs(out - out.T).max())
-    if gap > tol:
-        raise ValueError(f"matrix is not symmetric: max|a_ij - a_ji| = {gap:.3e} > {tol:.1e}")
+    if gap > SYMMETRY_TOL:
+        raise ValueError(
+            f"matrix is not symmetric: max|a_ij - a_ji| = {gap:.3e} > {SYMMETRY_TOL:.1e}"
+        )
     return (out + out.T) * 0.5
 
 

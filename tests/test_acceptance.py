@@ -274,9 +274,18 @@ def test_criterion_09_solver_vs_elimination_oracle():
             assert result.distance < 1e-4 * target_norm
 
 
-#: SHA-256 of the CSV that ``bench table1 --trials 1 --seed 42`` writes, recorded
-#: with numpy 2.4.6 and its bundled OpenBLAS on x86-64.
-TABLE1_TRIALS1_SEED42_SHA256 = "71583b6de3f091bc99a9415018948f8b2675073fdf2431044b7c7794ca0db739"
+#: SHA-256 of the CSV that ``bench <suite> --trials 1 --seed 42`` writes, per
+#: suite, recorded with numpy 2.4.6 and its bundled OpenBLAS on x86-64.
+TRIALS1_SEED42_SHA256 = {
+    "table1": "71583b6de3f091bc99a9415018948f8b2675073fdf2431044b7c7794ca0db739",
+    "mt": "43aaf8eb00d2aac072fbfa16ad5e8418e36d89b59d9b1c9fbfee149dfd7efa65",
+}
+
+
+def _assert_recorded_digest(tmp_path, suite):
+    out = tmp_path / f"{suite}.csv"
+    assert cli_main(["bench", suite, "--trials", "1", "--seed", "42", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TRIALS1_SEED42_SHA256[suite]
 
 
 def test_table1_records_match_recorded_digest(tmp_path):
@@ -287,9 +296,12 @@ def test_table1_records_match_recorded_digest(tmp_path):
     unnoticed.  A change that alters output bits on purpose updates the digest
     and says why in CHANGES.md.
     """
-    out = tmp_path / "t1.csv"
-    assert cli_main(["bench", "table1", "--trials", "1", "--seed", "42", "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == TABLE1_TRIALS1_SEED42_SHA256
+    _assert_recorded_digest(tmp_path, "table1")
+
+
+def test_mt_records_match_recorded_digest(tmp_path):
+    """``bench mt --trials 1 --seed 42`` writes the same bytes as recorded (as above)."""
+    _assert_recorded_digest(tmp_path, "mt")
 
 
 def test_criterion_10_benchmark_determinism(tmp_path):

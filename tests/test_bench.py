@@ -39,6 +39,13 @@ def test_record_validation():
     with pytest.raises(ValueError, match="kappa"):
         _rec(kappa=math.nan)
     assert _rec(kappa=math.inf).kappa == math.inf  # a singular Gram matrix
+    with pytest.raises(ValueError, match="1 <= n <= m"):
+        _rec(n=0, m=0)
+    with pytest.raises(ValueError, match="1 <= n <= m"):
+        _rec(n=16, m=4)
+    with pytest.raises(ValueError, match="iterations"):
+        _rec(iterations=-5)
+    assert _rec(n=1, m=1, iterations=0).iterations == 0
 
 
 def test_fit_validation():
@@ -79,16 +86,6 @@ def test_mt_suite_validation():
         bench.run_mt_suite(grid=[])
     with pytest.raises(ValueError):
         bench.run_mt_suite(grid=[(4, 2.0)], trials_per_cell=0)
-    with pytest.raises(ValueError):
-        bench.run_mt_suite(grid=[(4, 2.0)], scale_kinds=())
-
-
-def test_mt_suite_subset_of_kinds():
-    records = bench.run_mt_suite(
-        grid=[(4, 8.0)], trials_per_cell=2, scale_kinds={ScaleFactorKind.GERSHGORIN}
-    )
-    assert len(records) == 2
-    assert all(r.scale_kind is ScaleFactorKind.GERSHGORIN for r in records)
 
 
 def test_table1_suite_small():
@@ -102,6 +99,18 @@ def test_table1_suite_small():
         assert r.kappa >= 1.0
         assert r.scale_kind in (ScaleFactorKind.TRACE, ScaleFactorKind.GERSHGORIN)
         assert r.converged
+
+
+def test_table1_suite_records_matrix_without_scale_factor():
+    # The first child seed of this run draws exactly 0.0, so the 1x1 Gram
+    # matrix is [[0]]: kappa is inf and neither scale factor exists.
+    records = bench.run_table1_suite(
+        n_values=(1,), m_over_n=(1,), trials_per_cell=1, seed=16394053443022800329
+    )
+    assert bench.RECORDS.to_csv(records).splitlines()[1:] == [
+        "uniform,1,1,inf,alpha1,0,false,3453682501520545093",
+        "uniform,1,1,inf,alpha2,0,false,3453682501520545093",
+    ]
 
 
 def test_summarize_cells():

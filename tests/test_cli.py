@@ -241,6 +241,17 @@ def test_bench_fit_bad_field_exits_one(tmp_path, capsys):
     assert main(args + ["--check"]) == 1
     assert capsys.readouterr().err == "error: data row 1: kappa must be at least 1, got nan\n"
 
+    header = bench.RECORDS.header
+    for row, message in [
+        ("mt,0,0,64.0,alpha1,9,true,7", "need 1 <= n <= m, got n=0, m=0"),
+        ("mt,16,16,64.0,alpha0,-5,true,7", "iterations must be nonnegative, got -5"),
+        ("mt,16,4,64.0,alpha1,11,true,7", "need 1 <= n <= m, got n=16, m=4"),
+    ]:
+        records_path.write_text(f"{header}\n{row}\n")
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: data row 1: {message}\n"
+        assert not (tmp_path / "f.csv").exists()
+
 
 def test_bench_fit_non_ascii_byte_names_file_and_line(tmp_path, capsys):
     records_path, fits_path = tmp_path / "r.csv", tmp_path / "f.csv"

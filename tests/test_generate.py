@@ -43,8 +43,18 @@ def _scalar_stream(seed, first, count):
 @pytest.mark.parametrize(
     "seed",
     # GOLDEN > 2^63, so every state wraps past 2^64 within two steps; the
-    # fifth seed wraps at the first step, the last starts beyond 64 bits.
-    [0, 12345, 2**63 - 1, (1 << 64) - 1, (1 << 64) - GOLDEN + 3, (1 << 64) + 7],
+    # fifth seed wraps at the first step, the sixth starts beyond 64 bits.
+    # The first value of the last two seeds rounds to exactly 1.0 and 0.0.
+    [
+        0,
+        12345,
+        2**63 - 1,
+        (1 << 64) - 1,
+        (1 << 64) - GOLDEN + 3,
+        (1 << 64) + 7,
+        17685126244420568887,
+        3453682501520545093,
+    ],
 )
 def test_stream_matches_scalar_formula(seed):
     count = 1000
@@ -59,11 +69,18 @@ def test_stream_matches_scalar_formula(seed):
 
 
 def test_stream_values_strictly_inside_interval():
+    # -1 is never reached; 1.0 can be (see the test below), but not on this seed.
     v = SplitMix64(999).take(4096)
     assert v.min() > -1.0
     assert v.max() < 1.0
     with pytest.raises(ValueError):
         SplitMix64(1).take(0)
+
+
+def test_stream_rounds_to_zero_and_one():
+    # For j = mix64(state) >> 11 >= 2^52, j + 1/2 rounds to even.
+    assert SplitMix64(17685126244420568887).take(1).tolist() == [1.0]
+    assert uniform_pattern(1, 1, 3453682501520545093).tolist() == [[0.0]]
 
 
 def test_stream_moments():
