@@ -11,8 +11,8 @@ The package exports the end-to-end API; the building blocks are imported
 from their submodules (``lsqmatch.linalg``, ``lsqmatch.scaling``, ...).
 """
 
-from .inverter import DivergenceError, InversionConfig, invert
-from .matching import InversionStalledError, MatchResult, PipelineConfig, SingularSystemError, solve_transform
+from .inverter import DivergenceError, InversionConfig, InversionStatus, invert
+from .matching import InversionStalledError, IterationCapError, MatchResult, PipelineConfig, SingularSystemError, solve_transform
 from .matio import load_matrix, save_matrix
 from .scaling import ScaleFactorKind
 
@@ -22,6 +22,8 @@ __all__ = [
     "DivergenceError",
     "InversionConfig",
     "InversionStalledError",
+    "InversionStatus",
+    "IterationCapError",
     "MatchResult",
     "PipelineConfig",
     "ScaleFactorKind",

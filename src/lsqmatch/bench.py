@@ -66,6 +66,8 @@ class TrialRecord:
             raise ValueError(f"unknown family token {self.family!r}")
         if not 1 <= self.n <= self.m:
             raise ValueError(f"need 1 <= n <= m, got n={self.n}, m={self.m}")
+        if self.family == "mt" and self.m != self.n:
+            raise ValueError(f"an mt matrix is square, got n={self.n}, m={self.m}")
         if self.iterations < 0:
             raise ValueError(f"iterations must be nonnegative, got {self.iterations}")
         # Written so that NaN fails; inf stays valid (a singular Gram matrix).

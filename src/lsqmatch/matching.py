@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .inverter import InversionConfig, InversionReport, invert
+from .inverter import InversionConfig, InversionReport, InversionStatus, invert
 from .linalg import as_matrix, extreme_eigenvalues, gram
 from .scaling import ScaleFactorKind, rescale, scale_factor
 
@@ -28,6 +28,10 @@ class InversionStalledError(RuntimeError):
     The residual then stays at or above 1, so the recurrence cannot converge,
     although another scale factor may solve the same system.
     """
+
+
+class IterationCapError(RuntimeError):
+    """The inversion reached its iteration cap before its residual fell below epsilon."""
 
 
 @dataclass(frozen=True)
@@ -82,8 +86,9 @@ def solve_transform(x, m, config: PipelineConfig | None = None) -> MatchResult:
     the same row count; ``x`` must have at least as many rows as columns.
     Raises :class:`InversionStalledError` when the inversion stalls because
     the chosen scale factor puts an eigenvalue of alpha * X'X at 2 or above,
-    and :class:`SingularSystemError` when the Gram matrix is not positive
-    definite or the inversion fails to converge otherwise.
+    :class:`IterationCapError` when it reaches ``max_iterations`` first, and
+    :class:`SingularSystemError` when the Gram matrix is not positive
+    definite or the inversion diverges.
     """
     if config is None:
         config = PipelineConfig()
@@ -110,7 +115,12 @@ def solve_transform(x, m, config: PipelineConfig | None = None) -> MatchResult:
         raise SingularSystemError(f"singular system: {exc}") from exc
 
     report = invert(rescale(z, alpha), config.inversion)
-    if report.stalled:
+    if report.status is InversionStatus.HIT_CAP:
+        raise IterationCapError(
+            f"inversion hit the iteration cap of {report.iterations} iterations "
+            f"(residual {report.final_residual:.3e})"
+        )
+    if report.status is InversionStatus.STALLED:
         # The residual stays >= 1 only when alpha * Z has an eigenvalue at or
         # beyond 0 (a singular system) or 2 (a scale factor too large).
         low, high = extreme_eigenvalues(z)
@@ -123,7 +133,7 @@ def solve_transform(x, m, config: PipelineConfig | None = None) -> MatchResult:
             )
     if not report.converged:
         raise SingularSystemError(
-            "singular system: inversion did not converge after "
+            f"singular system: inversion {report.status.value} after "
             f"{report.iterations} iterations (residual {report.final_residual:.3e})"
         )
 

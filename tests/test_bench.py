@@ -43,6 +43,9 @@ def test_record_validation():
         _rec(n=0, m=0)
     with pytest.raises(ValueError, match="1 <= n <= m"):
         _rec(n=16, m=4)
+    with pytest.raises(ValueError, match="an mt matrix is square, got n=16, m=32"):
+        _rec(n=16, m=32)
+    assert _rec(family="uniform", n=16, m=32).m == 32
     with pytest.raises(ValueError, match="iterations"):
         _rec(iterations=-5)
     assert _rec(n=1, m=1, iterations=0).iterations == 0

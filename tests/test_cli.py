@@ -116,6 +116,18 @@ def test_solve_stalled_inversion_exits_one(tmp_path, capsys):
     assert err.startswith("error: inversion stalled under scale factor alpha1")
 
 
+def test_solve_iteration_cap_exits_one(tmp_path, capsys):
+    x_path, m_path = tmp_path / "x.txt", tmp_path / "m.txt"
+    save_matrix(x_path, uniform_pattern(64, 8, 1))
+    save_matrix(m_path, uniform_pattern(64, 2, 2))
+
+    rc = main(["solve", "--x", str(x_path), "--m", str(m_path), "--max-iter", "2"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: inversion hit the iteration cap")
+    assert "singular" not in err
+
+
 def test_solve_missing_file_exits_one(tmp_path, capsys):
     rc = main(["solve", "--x", str(tmp_path / "nope.txt"), "--m", str(tmp_path / "m.txt")])
     assert rc == 1
@@ -246,6 +258,7 @@ def test_bench_fit_bad_field_exits_one(tmp_path, capsys):
         ("mt,0,0,64.0,alpha1,9,true,7", "need 1 <= n <= m, got n=0, m=0"),
         ("mt,16,16,64.0,alpha0,-5,true,7", "iterations must be nonnegative, got -5"),
         ("mt,16,4,64.0,alpha1,11,true,7", "need 1 <= n <= m, got n=16, m=4"),
+        ("mt,16,32,64.0,alpha0,9,true,7", "an mt matrix is square, got n=16, m=32"),
     ]:
         records_path.write_text(f"{header}\n{row}\n")
         assert main(args) == 1

@@ -6,7 +6,13 @@ import pytest
 from oracles import neumann_partial_sum
 
 from lsqmatch.generate import MoreToraldoSpec, derive_seed, mix64, more_toraldo
-from lsqmatch.inverter import DivergenceError, InversionConfig, invert, iteration_bound
+from lsqmatch.inverter import (
+    DivergenceError,
+    InversionConfig,
+    InversionStatus,
+    invert,
+    iteration_bound,
+)
 from lsqmatch.scaling import alpha_optimal_bounds, alpha_trace_value, rescale
 
 
@@ -158,7 +164,7 @@ def test_inverse_quality():
 def test_divergence_aborts_early():
     rep = invert(3.0 * np.eye(4))
     assert not rep.converged
-    assert not rep.stalled
+    assert rep.status is InversionStatus.DIVERGED
     assert rep.iterations == 3
     assert rep.residual_history.tolist() == [2.0, 4.0, 16.0, 256.0]
 
@@ -167,7 +173,7 @@ def test_stall_aborts_early():
     # Rescaled eigenvalue exactly 2: the residual |1 - 2| = 1 never drops.
     rep = invert(np.array([[2.0]]))
     assert not rep.converged
-    assert rep.stalled
+    assert rep.status is InversionStatus.STALLED
     assert rep.iterations == 3
     assert rep.residual_history.tolist() == [1.0, 1.0, 1.0, 1.0]
 
@@ -176,6 +182,7 @@ def test_cap_hit_reports_nonconvergence():
     a, _ = _rescaled_test_matrix(1)
     rep = invert(a, InversionConfig(epsilon=1e-300, max_iterations=4))
     assert not rep.converged
+    assert rep.status is InversionStatus.HIT_CAP
     assert rep.iterations == 4
     assert rep.residual_history.shape == (5,)
 

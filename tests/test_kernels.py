@@ -1,10 +1,12 @@
+"""Tests of the recurrence loop ``inverter.newton_schulz`` and its stop statuses."""
+
 import tracemalloc
 
 import numpy as np
 import pytest
 
-import lsqmatch.kernels as kernels
 from lsqmatch.generate import MoreToraldoSpec, more_toraldo, uniform_pattern
+from lsqmatch.inverter import InversionStatus, newton_schulz
 from lsqmatch.scaling import (
     alpha_gershgorin_value,
     alpha_optimal_bounds,
@@ -13,21 +15,10 @@ from lsqmatch.scaling import (
 )
 
 
-def test_status_codes_distinct():
-    codes = {
-        kernels.CONVERGED,
-        kernels.HIT_CAP,
-        kernels.DIVERGED,
-        kernels.NONFINITE,
-        kernels.STALLED,
-    }
-    assert len(codes) == 5
-
-
 def test_numpy_newton_schulz_basic():
     a = 0.5 * np.eye(3)
-    v, hist, iters, status = kernels.newton_schulz(a, 1e-6, 200)
-    assert status == kernels.CONVERGED
+    v, hist, iters, status = newton_schulz(a, 1e-6, 200)
+    assert status is InversionStatus.CONVERGED
     assert iters == 5
     assert hist.shape == (6,)
     assert np.abs(v - 2.0 * np.eye(3)).max() < 1e-8
@@ -35,8 +26,8 @@ def test_numpy_newton_schulz_basic():
 
 def test_divergence_status():
     a = 3.0 * np.eye(4)
-    _, hist, iters, status = kernels.newton_schulz(a, 1e-6, 200)
-    assert status == kernels.DIVERGED
+    _, hist, iters, status = newton_schulz(a, 1e-6, 200)
+    assert status is InversionStatus.DIVERGED
     assert iters == 3
     assert list(hist) == [2.0, 4.0, 16.0, 256.0]
 
@@ -44,23 +35,23 @@ def test_divergence_status():
 def test_nonfinite_status():
     a = 1e200 * np.eye(2)
     with pytest.warns(RuntimeWarning):
-        _, _, iters, status = kernels.newton_schulz(a, 1e-6, 200)
-    assert status == kernels.NONFINITE
+        _, _, iters, status = newton_schulz(a, 1e-6, 200)
+    assert status is InversionStatus.NONFINITE
     assert iters == 1
 
 
 def test_cap_status():
     a = 0.5 * np.eye(2)
-    _, hist, iters, status = kernels.newton_schulz(a, 1e-300, 3)
-    assert status == kernels.HIT_CAP
+    _, hist, iters, status = newton_schulz(a, 1e-300, 3)
+    assert status is InversionStatus.HIT_CAP
     assert iters == 3
     assert hist.shape == (4,)
 
 
 def test_stalled_status():
     # A rescaled eigenvalue of exactly 2 keeps |1 - 2| = 1 at every step.
-    _, hist, iters, status = kernels.newton_schulz(np.array([[2.0]]), 1e-6, 200)
-    assert status == kernels.STALLED
+    _, hist, iters, status = newton_schulz(np.array([[2.0]]), 1e-6, 200)
+    assert status is InversionStatus.STALLED
     assert iters == 3
     assert list(hist) == [1.0, 1.0, 1.0, 1.0]
 
@@ -81,15 +72,15 @@ def _reference_newton_schulz(a, eps, max_iter):
         r = np.abs(u - eye).max()
         history.append(r)
         if not np.isfinite(r):
-            return v, np.array(history), t, kernels.NONFINITE
+            return v, np.array(history), t, InversionStatus.NONFINITE
         if r < eps:
-            return v, np.array(history), t, kernels.CONVERGED
+            return v, np.array(history), t, InversionStatus.CONVERGED
         if t == max_iter:
-            return v, np.array(history), t, kernels.HIT_CAP
+            return v, np.array(history), t, InversionStatus.HIT_CAP
         if r > 1.0 and r > prev:
             grow += 1
             if grow >= 3:
-                return v, np.array(history), t, kernels.DIVERGED
+                return v, np.array(history), t, InversionStatus.DIVERGED
         else:
             grow = 0
         prev = r
@@ -124,7 +115,7 @@ def _oracle_cases():
 @pytest.mark.parametrize("a, eps, max_iter", _oracle_cases())
 def test_newton_schulz_bit_identical_to_reference(a, eps, max_iter):
     with np.errstate(over="ignore", invalid="ignore"):
-        v, hist, iters, status = kernels.newton_schulz(a, eps, max_iter)
+        v, hist, iters, status = newton_schulz(a, eps, max_iter)
         v_ref, hist_ref, iters_ref, status_ref = _reference_newton_schulz(a, eps, max_iter)
     assert (iters, status) == (iters_ref, status_ref)
     assert hist.tobytes() == hist_ref.tobytes()
@@ -138,10 +129,10 @@ def test_newton_schulz_peak_memory():
     a = rescale(z, alpha_trace_value(z))
     tracemalloc.start()
     try:
-        _, _, iters, status = kernels.newton_schulz(a, 1e-6, 200)
+        _, _, iters, status = newton_schulz(a, 1e-6, 200)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert status == kernels.CONVERGED
+    assert status is InversionStatus.CONVERGED
     assert iters >= 10
     assert peak <= 3.25 * n * n * 8

@@ -8,6 +8,7 @@ from lsqmatch.inverter import InversionConfig
 from lsqmatch.linalg import gram
 from lsqmatch.matching import (
     InversionStalledError,
+    IterationCapError,
     MatchResult,
     PipelineConfig,
     SingularSystemError,
@@ -164,6 +165,9 @@ def test_singular_system_rejected():
     m = uniform_pattern(12, 2, 102)
     with pytest.raises(SingularSystemError, match="singular system"):
         solve_transform(x, m)
+    # The optimal factor sees a smallest eigenvalue of 0 up to rounding; the run diverges.
+    with pytest.raises(SingularSystemError, match="singular system: inversion diverged"):
+        solve_transform(x, m, PipelineConfig(scale_kind=ScaleFactorKind.OPTIMAL))
 
 
 def test_single_column_trace_scale_stalls():
@@ -178,6 +182,17 @@ def test_single_column_trace_scale_stalls():
         result = solve_transform(x, m, PipelineConfig(scale_kind=kind))
         assert result.inversion.iterations == 0
         assert result.transform.tolist() == [[2.0]]
+
+
+def test_iteration_cap_is_not_singular():
+    # kappa(X) is 1.9; under the default cap the same system converges in 6 iterations.
+    x, m = uniform_pattern(64, 8, 1), uniform_pattern(64, 2, 2)
+    config = PipelineConfig(inversion=InversionConfig(max_iterations=2))
+    with pytest.raises(IterationCapError) as info:
+        solve_transform(x, m, config)
+    assert not isinstance(info.value, SingularSystemError)
+    assert str(info.value) == "inversion hit the iteration cap of 2 iterations (residual 8.518e-02)"
+    assert solve_transform(x, m).inversion.iterations == 6
 
 
 def test_zero_pattern_rejected():
