@@ -26,7 +26,7 @@ from typing import Any
 import numpy as np
 
 from .generate import MoreToraldoSpec, derive_seed, more_toraldo, uniform_pattern
-from .inverter import InversionConfig, invert
+from .inverter import invert
 from .linalg import extreme_eigenvalues, gram
 from .scaling import ScaleFactorKind, rescale, scale_factor
 
@@ -118,12 +118,13 @@ def predicted_iterations(kind: ScaleFactorKind, n: int, kappa: float) -> float:
     return lk + math.log2(n) / 3.0 + N2_CONSTANT
 
 
-def _run_trials(cells, kinds, cfg: InversionConfig | None) -> list[TrialRecord]:
+def _run_trials(cells, kinds) -> list[TrialRecord]:
     """The one trial loop: for each cell and each kind, scale, rescale, invert.
 
     A cell is ``(family, n, m, kappa, extremes, z, seed)``, where ``extremes``
     is z's known ``(low, high)`` spectrum or None.  A matrix that admits no
     scale factor (a zero trace, say) gives a 0-iteration, non-converged record.
+    Every trial inverts under ``InversionConfig()``, as :func:`fit_laws` assumes.
     """
     records = []
     for family, n, m, kappa, extremes, z, seed in cells:
@@ -133,7 +134,7 @@ def _run_trials(cells, kinds, cfg: InversionConfig | None) -> list[TrialRecord]:
             except ValueError:
                 iterations, converged = 0, False
             else:
-                report = invert(rescale(z, alpha), cfg)
+                report = invert(rescale(z, alpha))
                 iterations, converged = report.iterations, report.converged
             records.append(TrialRecord(family, n, m, kappa, kind, iterations, converged, seed))
     return records
@@ -142,7 +143,6 @@ def _run_trials(cells, kinds, cfg: InversionConfig | None) -> list[TrialRecord]:
 def run_mt_suite(
     grid=DEFAULT_MT_GRID,
     trials_per_cell: int = DEFAULT_TRIALS,
-    cfg: InversionConfig | None = None,
     seed: int = 42,
 ) -> list[TrialRecord]:
     """Invert conditioned test matrices over a (n, kappa) grid, all three kinds.
@@ -165,14 +165,13 @@ def run_mt_suite(
                 _, z = more_toraldo(spec, child)
                 yield "mt", spec.n, spec.n, spec.kappa, (1.0, spec.kappa), z, child
 
-    return _run_trials(cells(), tuple(ScaleFactorKind), cfg)
+    return _run_trials(cells(), tuple(ScaleFactorKind))
 
 
 def run_table1_suite(
     n_values=DEFAULT_TABLE1_SIZES,
     m_over_n=DEFAULT_TABLE1_RATIOS,
     trials_per_cell: int = DEFAULT_TRIALS,
-    cfg: InversionConfig | None = None,
     seed: int = 42,
 ) -> list[TrialRecord]:
     """Invert Gram matrices of uniform patterns over a (n, m/n) size grid.
@@ -196,7 +195,7 @@ def run_table1_suite(
                 kappa = math.inf if low <= 0.0 else max(1.0, high / low)
                 yield "uniform", n, m, kappa, None, z, child
 
-    return _run_trials(cells(), (ScaleFactorKind.TRACE, ScaleFactorKind.GERSHGORIN), cfg)
+    return _run_trials(cells(), (ScaleFactorKind.TRACE, ScaleFactorKind.GERSHGORIN))
 
 
 def summarize_cells(records: list[TrialRecord]) -> list[CellSummary]:

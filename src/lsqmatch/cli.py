@@ -49,10 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--x", required=True, help="source pattern file")
     solve.add_argument("--m", required=True, help="target pattern file")
-    solve.add_argument("--alpha", choices=_ALPHA_TOKENS, default=ScaleFactorKind.GERSHGORIN.token)
-    solve.add_argument("--eps", type=float, default=1e-6)
-    solve.add_argument("--max-iter", type=int, default=200)
-    solve.add_argument("--ms-per-op", type=float, default=5.0)
+    solve.add_argument("--alpha", choices=_ALPHA_TOKENS, default=PipelineConfig.scale_kind.token)
+    solve.add_argument("--eps", type=float, default=InversionConfig.epsilon)
+    solve.add_argument("--max-iter", type=int, default=InversionConfig.max_iterations)
 
     # --- bench -----------------------------------------------------------
     bench_p = top.add_parser("bench", help="benchmark suites and law fits")
@@ -64,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         suite_p = bench_sub.add_parser(suite, help=help_text)
         suite_p.add_argument("--trials", type=int, default=bench.DEFAULT_TRIALS)
-        suite_p.add_argument("--eps", type=float, default=1e-6)
-        suite_p.add_argument("--max-iter", type=int, default=200)
         suite_p.add_argument("--seed", type=int, default=42)
         suite_p.add_argument("--out", required=True)
         suite_p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -99,7 +96,6 @@ def _cmd_solve(args) -> int:
     config = PipelineConfig(
         scale_kind=ScaleFactorKind.from_token(args.alpha),
         inversion=InversionConfig(epsilon=args.eps, max_iterations=args.max_iter),
-        ms_per_op=args.ms_per_op,
     )
     result = solve_transform(x, m, config)
     sys.stdout.write(format_matrix(result.transform))
@@ -121,9 +117,8 @@ def _cmd_bench(args) -> int:
         bench.FITS.write(fits, args.out, args.format)
         problems = bench.check_fits(fits) + bench.check_records(records)
     else:
-        cfg = InversionConfig(epsilon=args.eps, max_iterations=args.max_iter)
         run = bench.run_mt_suite if args.suite == "mt" else bench.run_table1_suite
-        records = run(trials_per_cell=args.trials, cfg=cfg, seed=args.seed)
+        records = run(trials_per_cell=args.trials, seed=args.seed)
         bench.RECORDS.write(records, args.out, args.format)
         if args.suite == "table1":
             for cell in bench.summarize_cells(records):

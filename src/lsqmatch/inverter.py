@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,8 +47,13 @@ class InversionConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
+        cap = self.max_iterations
+        try:
+            operator.index(cap)
+        except TypeError:
+            raise ValueError(f"max_iterations must be an integer, got {cap!r}") from None
+        if cap < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {cap}")
 
 
 @dataclass
@@ -142,7 +148,7 @@ def invert(a, cfg: InversionConfig | None = None) -> InversionReport:
     if cfg is None:
         cfg = InversionConfig()
     a = symmetrize(a)
-    v, history, iterations, status = newton_schulz(a, float(cfg.epsilon), int(cfg.max_iterations))
+    v, history, iterations, status = newton_schulz(a, float(cfg.epsilon), cfg.max_iterations)
     if status is InversionStatus.NONFINITE:
         raise DivergenceError(iterations)
     return InversionReport(v, iterations, history, status)

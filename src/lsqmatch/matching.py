@@ -34,17 +34,16 @@ class IterationCapError(RuntimeError):
     """The inversion reached its iteration cap before its residual fell below epsilon."""
 
 
+#: The cost model's fixed time per matrix operation, in milliseconds.
+MS_PER_OP = 5.0
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    """How to scale, invert, and cost a matching run."""
+    """How to scale and invert in a matching run."""
 
     scale_kind: ScaleFactorKind = ScaleFactorKind.GERSHGORIN
     inversion: InversionConfig = field(default_factory=InversionConfig)
-    ms_per_op: float = 5.0
-
-    def __post_init__(self):
-        if not 0.0 < self.ms_per_op < math.inf:
-            raise ValueError(f"ms_per_op must be finite and positive, got {self.ms_per_op}")
 
 
 @dataclass
@@ -54,8 +53,14 @@ class MatchResult:
     transform: np.ndarray
     distance: float
     inversion: InversionReport
-    op_count: int
-    est_time_ms: float
+
+    @property
+    def op_count(self) -> int:
+        return op_count(self.inversion.iterations)
+
+    @property
+    def est_time_ms(self) -> float:
+        return estimate_time_ms(self.op_count)
 
 
 def op_count(iterations: int) -> int:
@@ -65,13 +70,11 @@ def op_count(iterations: int) -> int:
     return 2 * iterations + 7
 
 
-def estimate_time_ms(ops: int, ms_per_op: float = 5.0) -> float:
-    """Wall-time estimate when every matrix operation costs ``ms_per_op``."""
+def estimate_time_ms(ops: int) -> float:
+    """Wall-time estimate when every matrix operation costs ``MS_PER_OP``."""
     if ops < 0:
         raise ValueError(f"ops must be nonnegative, got {ops}")
-    if not 0.0 < ms_per_op < math.inf:
-        raise ValueError(f"ms_per_op must be finite and positive, got {ms_per_op}")
-    return ops * ms_per_op
+    return ops * MS_PER_OP
 
 
 def _binary_exponent(a: np.ndarray) -> int:
@@ -122,9 +125,13 @@ def solve_transform(x, m, config: PipelineConfig | None = None) -> MatchResult:
         )
     if report.status is InversionStatus.STALLED:
         # The residual stays >= 1 only when alpha * Z has an eigenvalue at or
-        # beyond 0 (a singular system) or 2 (a scale factor too large).
+        # beyond 0 (a singular system) or 2 (a scale factor too large).  For an
+        # m x n X, forming X'X moves an eigenvalue by at most gamma_m trace(Z),
+        # the eigen step by about n u trace(Z): with eps = 2u, a low end under
+        # (m + n) eps alpha trace(Z) may be a zero eigenvalue, so it is singular.
         low, high = extreme_eigenvalues(z)
-        if alpha * high - 1.0 >= 1.0 - alpha * low:
+        level = (x.shape[0] + x.shape[1]) * np.finfo(np.float64).eps * alpha * float(np.trace(z))
+        if alpha * low > level and alpha * high - 1.0 >= 1.0 - alpha * low:
             raise InversionStalledError(
                 f"inversion stalled under scale factor {config.scale_kind.token}: "
                 f"residual {report.final_residual:.3e} did not drop below 1 in "
@@ -139,12 +146,4 @@ def solve_transform(x, m, config: PipelineConfig | None = None) -> MatchResult:
 
     transform = (alpha * report.inverse) @ (x.T @ m)
     distance = float(np.ldexp(np.linalg.norm(x @ transform - m), km))
-    transform = np.ldexp(transform, km - kx)
-    ops = op_count(report.iterations)
-    return MatchResult(
-        transform=transform,
-        distance=distance,
-        inversion=report,
-        op_count=ops,
-        est_time_ms=estimate_time_ms(ops, config.ms_per_op),
-    )
+    return MatchResult(np.ldexp(transform, km - kx), distance, report)

@@ -6,7 +6,6 @@ import pytest
 
 import lsqmatch.bench as bench
 from lsqmatch.generate import derive_seed
-from lsqmatch.inverter import InversionConfig
 from lsqmatch.scaling import ScaleFactorKind
 
 
@@ -318,7 +317,7 @@ def test_gershgorin_beats_trace_for_larger_systems(mt_records):
 
 
 def test_table1_rows_nonincreasing_in_width_ratio():
-    records = bench.run_table1_suite(seed=42, cfg=InversionConfig())
+    records = bench.run_table1_suite(seed=42)
     cells = bench.summarize_cells(records)
     for kind in (ScaleFactorKind.TRACE, ScaleFactorKind.GERSHGORIN):
         for n in bench.DEFAULT_TABLE1_SIZES:

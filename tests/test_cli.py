@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
 import lsqmatch.bench as bench
 from lsqmatch.cli import build_parser, main
 from lsqmatch.generate import MoreToraldoSpec, more_toraldo, uniform_pattern
+from lsqmatch.matching import MS_PER_OP
 from lsqmatch.matio import format_matrix, load_matrix, parse_matrix, save_matrix
 
 
@@ -18,6 +20,19 @@ def test_unknown_command_exits_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--x", "x.txt", "--m", "m.txt", "--ms-per-op", "2.0"],
+        ["bench", "mt", "--out", "r.csv", "--eps", "1e-3"],
+        ["bench", "table1", "--out", "r.csv", "--max-iter", "5"],
+    ],
+)
+def test_removed_flags_exit_one(argv, capsys):
+    assert main(argv) == 1
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+
+
 def test_parser_defaults():
     args = build_parser().parse_args(
         ["solve", "--x", "a.txt", "--m", "b.txt"]
@@ -25,7 +40,6 @@ def test_parser_defaults():
     assert args.alpha == "alpha2"
     assert args.eps == 1e-6
     assert args.max_iter == 200
-    assert args.ms_per_op == 5.0
 
 
 def test_gen_mt_matches_library(tmp_path):
@@ -78,18 +92,13 @@ def test_solve_diagnostics_match_op_model(tmp_path, capsys):
     save_matrix(x_path, x)
     save_matrix(m_path, uniform_pattern(10, 2, 32))
 
-    assert main(["solve", "--x", str(x_path), "--m", str(m_path), "--ms-per-op", "2.0"]) == 0
+    assert main(["solve", "--x", str(x_path), "--m", str(m_path)]) == 0
     err = capsys.readouterr().err
     fields = dict(part.split("=") for part in err.split())
     iterations = int(fields["iterations"])
     assert int(fields["ops"]) == 2 * iterations + 7
-    assert float(fields["est_ms"]) == 2.0 * (2 * iterations + 7)
+    assert float(fields["est_ms"]) == MS_PER_OP * (2 * iterations + 7)
     assert float(fields["distance"]) >= 0.0
-
-    for bad in ("nan", "inf"):
-        rc = main(["solve", "--x", str(x_path), "--m", str(m_path), "--ms-per-op", bad])
-        assert rc == 1
-        assert capsys.readouterr().err.startswith("error: ms_per_op must be finite")
 
 
 def test_solve_singular_system_exits_one(tmp_path, capsys):

@@ -48,6 +48,8 @@ def test_config_validation():
         InversionConfig(epsilon=-0.5)
     with pytest.raises(ValueError):
         InversionConfig(max_iterations=0)
+    with pytest.raises(ValueError, match=r"max_iterations must be an integer, got 2\.5"):
+        InversionConfig(max_iterations=2.5)
 
 
 def test_identity_is_a_fixed_point_at_start():

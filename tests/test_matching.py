@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -58,23 +56,10 @@ def test_op_count_strictly_increasing():
 
 
 def test_estimate_time_examples():
-    assert estimate_time_ms(15, 5.0) == 75.0
-    assert estimate_time_ms(7, 5.0) == 35.0
-    assert estimate_time_ms(15, 1.0) == 15.0
+    assert estimate_time_ms(15) == 75.0
+    assert estimate_time_ms(7) == 35.0
     with pytest.raises(ValueError):
-        estimate_time_ms(-1, 5.0)
-    with pytest.raises(ValueError):
-        estimate_time_ms(10, 0.0)
-    with pytest.raises(ValueError):
-        estimate_time_ms(10, math.nan)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        PipelineConfig(ms_per_op=0.0)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            PipelineConfig(ms_per_op=bad)
+        estimate_time_ms(-1)
 
 
 def test_identity_target():
@@ -130,11 +115,10 @@ def test_scale_kinds_agree_on_solution():
 def test_result_cost_fields():
     x = uniform_pattern(16, 4, 98)
     m = uniform_pattern(16, 2, 99)
-    cfg = PipelineConfig(ms_per_op=2.5)
-    res = solve_transform(x, m, cfg)
+    res = solve_transform(x, m)
     assert isinstance(res, MatchResult)
     assert res.op_count == 2 * res.inversion.iterations + 7
-    assert res.est_time_ms == res.op_count * 2.5
+    assert res.est_time_ms == res.op_count * 5.0
     assert res.distance >= 0.0
 
 
@@ -165,6 +149,15 @@ def test_singular_system_rejected():
     m = uniform_pattern(12, 2, 102)
     with pytest.raises(SingularSystemError, match="singular system"):
         solve_transform(x, m)
+    # A rank-1 X with two or more columns puts alpha1 * X'X's eigenvalues at 2
+    # and 0 up to rounding: the zero eigenvalue, not the scale factor, is the fault.
+    trace = PipelineConfig(scale_kind=ScaleFactorKind.TRACE)
+    for rank1 in (
+        np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]),
+        np.outer(uniform_pattern(8, 1, 5), [1.0, 2.0, 3.0]),
+    ):
+        with pytest.raises(SingularSystemError, match="singular system"):
+            solve_transform(rank1, rank1[:, :1], trace)
     # The optimal factor sees a smallest eigenvalue of 0 up to rounding; the run diverges.
     with pytest.raises(SingularSystemError, match="singular system: inversion diverged"):
         solve_transform(x, m, PipelineConfig(scale_kind=ScaleFactorKind.OPTIMAL))
