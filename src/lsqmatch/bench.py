@@ -118,25 +118,33 @@ def predicted_iterations(kind: ScaleFactorKind, n: int, kappa: float) -> float:
     return lk + math.log2(n) / 3.0 + N2_CONSTANT
 
 
-def _run_trials(cells, kinds) -> list[TrialRecord]:
-    """The one trial loop: for each cell and each kind, scale, rescale, invert.
+def _run_trials(grid, build, kinds, trials_per_cell, seed) -> list[TrialRecord]:
+    """The one trial loop: for each cell, trial and kind, scale, rescale, invert.
 
-    A cell is ``(family, n, m, kappa, extremes, z, seed)``, where ``extremes``
-    is z's known ``(low, high)`` spectrum or None.  A matrix that admits no
-    scale factor (a zero trace, say) gives a 0-iteration, non-converged record.
-    Every trial inverts under ``InversionConfig()``, as :func:`fit_laws` assumes.
+    Trial t of cell i has seed ``derive_seed(seed, i * trials_per_cell + t)``,
+    and ``build(cell, seed)`` gives its ``(family, n, m, kappa, extremes, z)``,
+    ``extremes`` being z's known ``(low, high)`` spectrum or None.  A matrix
+    with no scale factor (a zero trace, say) gives a 0-iteration, non-converged
+    record.  Every trial inverts under ``InversionConfig()``, as fit_laws assumes.
     """
+    if not grid:
+        raise ValueError("grid must not be empty")
+    if trials_per_cell < 1:
+        raise ValueError(f"trials_per_cell must be at least 1, got {trials_per_cell}")
     records = []
-    for family, n, m, kappa, extremes, z, seed in cells:
-        for kind in kinds:
-            try:
-                alpha = scale_factor(z, kind, extremes)
-            except ValueError:
-                iterations, converged = 0, False
-            else:
-                report = invert(rescale(z, alpha))
-                iterations, converged = report.iterations, report.converged
-            records.append(TrialRecord(family, n, m, kappa, kind, iterations, converged, seed))
+    for cell_idx, cell in enumerate(grid):
+        for trial in range(trials_per_cell):
+            child = derive_seed(seed, cell_idx * trials_per_cell + trial)
+            *head, extremes, z = build(cell, child)
+            for kind in kinds:
+                try:
+                    alpha = scale_factor(z, kind, extremes)
+                except ValueError:
+                    iterations, converged = 0, False
+                else:
+                    report = invert(rescale(z, alpha))
+                    iterations, converged = report.iterations, report.converged
+                records.append(TrialRecord(*head, kind, iterations, converged, child))
     return records
 
 
@@ -152,20 +160,11 @@ def run_mt_suite(
     trace and row-sum factors read the generated matrix alone.  Every trial
     is recorded, converged or not.
     """
+    def build(spec, child):
+        return "mt", spec.n, spec.n, spec.kappa, (1.0, spec.kappa), more_toraldo(spec, child)[1]
+
     specs = [MoreToraldoSpec(int(n), float(kappa)) for n, kappa in grid]
-    if not specs:
-        raise ValueError("grid must not be empty")
-    if trials_per_cell < 1:
-        raise ValueError(f"trials_per_cell must be at least 1, got {trials_per_cell}")
-
-    def cells():
-        for cell_idx, spec in enumerate(specs):
-            for trial in range(trials_per_cell):
-                child = derive_seed(seed, cell_idx * trials_per_cell + trial)
-                _, z = more_toraldo(spec, child)
-                yield "mt", spec.n, spec.n, spec.kappa, (1.0, spec.kappa), z, child
-
-    return _run_trials(cells(), tuple(ScaleFactorKind))
+    return _run_trials(specs, build, tuple(ScaleFactorKind), trials_per_cell, seed)
 
 
 def run_table1_suite(
@@ -180,22 +179,15 @@ def run_table1_suite(
     kappa is measured from the generated matrix (``inf`` if singular).  A
     singular Gram matrix is recorded as a non-converged trial.
     """
+    def build(size, child):
+        n, m = size
+        z = gram(uniform_pattern(m, n, child))
+        low, high = extreme_eigenvalues(z)
+        return "uniform", n, m, (math.inf if low <= 0.0 else max(1.0, high / low)), None, z
+
     sizes = [(int(n), int(ratio) * int(n)) for n, ratio in product(n_values, m_over_n)]
-    if not sizes:
-        raise ValueError("size grid must not be empty")
-    if trials_per_cell < 1:
-        raise ValueError(f"trials_per_cell must be at least 1, got {trials_per_cell}")
-
-    def cells():
-        for cell_idx, (n, m) in enumerate(sizes):
-            for trial in range(trials_per_cell):
-                child = derive_seed(seed, cell_idx * trials_per_cell + trial)
-                z = gram(uniform_pattern(m, n, child))
-                low, high = extreme_eigenvalues(z)
-                kappa = math.inf if low <= 0.0 else max(1.0, high / low)
-                yield "uniform", n, m, kappa, None, z, child
-
-    return _run_trials(cells(), (ScaleFactorKind.TRACE, ScaleFactorKind.GERSHGORIN))
+    kinds = (ScaleFactorKind.TRACE, ScaleFactorKind.GERSHGORIN)
+    return _run_trials(sizes, build, kinds, trials_per_cell, seed)
 
 
 def summarize_cells(records: list[TrialRecord]) -> list[CellSummary]:
@@ -260,6 +252,11 @@ def fit_laws(records: list[TrialRecord]) -> list[LawFit]:
 
 def _fmt_float(value: float) -> str:
     return repr(float(value))
+
+
+def _json_float(value: float):
+    """A float as JSON holds it: JSON has no inf or nan, so those are written as CSV text."""
+    return value if math.isfinite(value) else _fmt_float(value)
 
 
 def _fmt_bool(value: bool) -> str:
@@ -330,7 +327,7 @@ class ColumnTable:
 
     def to_json(self, items) -> str:
         rows = [{c.name: c.to_json(getattr(item, c.attr)) for c in self.columns} for item in items]
-        return json.dumps(rows, indent=2) + "\n"
+        return json.dumps(rows, indent=2, allow_nan=False) + "\n"
 
     def write(self, items, destination, fmt: str = "csv") -> None:
         """Write ``items`` to the path ``destination`` as ``fmt`` (csv or json)."""
@@ -348,7 +345,7 @@ RECORDS = ColumnTable(
         Column("family", "family"),
         Column("n", "n", parse=int),
         Column("m", "m", parse=int),
-        Column("kappa", "kappa", _fmt_float, float),
+        Column("kappa", "kappa", _fmt_float, float, _json_float),
         Column("alpha", "scale_kind", _token, ScaleFactorKind.from_token, _token),
         Column("iterations", "iterations", parse=int),
         Column("converged", "converged", _fmt_bool, _parse_bool),
@@ -359,8 +356,8 @@ FITS = ColumnTable(
     LawFit,
     (
         Column("law", "law"),
-        Column("mean_dev", "mean_deviation", _fmt_float, float),
-        Column("max_abs_dev", "max_abs_deviation", _fmt_float, float),
+        Column("mean_dev", "mean_deviation", _fmt_float, float, _json_float),
+        Column("max_abs_dev", "max_abs_deviation", _fmt_float, float, _json_float),
         Column("trials", "trials", parse=int),
     ),
 )

@@ -105,7 +105,7 @@ def newton_schulz(a, eps, max_iter):
     w = np.empty((n, n))
     p_diag = p.reshape(-1)[:: n + 1]
     u_diag = np.empty(n)
-    history = np.empty(max_iter + 1)
+    history = []
     flat = grow = 0
     prev = np.inf
     for t in range(max_iter + 1):
@@ -114,19 +114,19 @@ def newton_schulz(a, eps, max_iter):
         np.subtract(0.0, p, out=p)
         np.subtract(u_diag, 1.0, out=p_diag)
         r = np.abs(p, out=w).max()
-        history[t] = r
+        history.append(r)
         if not np.isfinite(r):
-            return v, history[: t + 1], t, InversionStatus.NONFINITE
+            return v, np.array(history), t, InversionStatus.NONFINITE
         if r < eps:
-            return v, history[: t + 1], t, InversionStatus.CONVERGED
+            return v, np.array(history), t, InversionStatus.CONVERGED
         if t == max_iter:
-            return v, history[: t + 1], t, InversionStatus.HIT_CAP
+            return v, np.array(history), t, InversionStatus.HIT_CAP
         if r >= 1.0 and r >= prev:
             flat += 1
             grow = grow + 1 if r > 1.0 and r > prev else 0
             if flat >= 3:
                 status = InversionStatus.DIVERGED if grow >= 3 else InversionStatus.STALLED
-                return v, history[: t + 1], t, status
+                return v, np.array(history), t, status
         else:
             flat = grow = 0
         prev = r

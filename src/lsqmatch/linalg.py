@@ -2,7 +2,7 @@
 
 ``extreme_eigenvalues`` gives the smallest and largest eigenvalue by
 Householder tridiagonalization and Sturm-sequence multisection; it is what
-the optimal scale factor, the stall check and the benchmark's kappa use.
+the optimal scale factor and the benchmark's kappa use.
 
 Matrices are plain 2-D float64 numpy arrays.  ``as_matrix`` / ``symmetrize``
 are the validating constructors.  Input is validated once, where it enters

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .inverter import InversionConfig, InversionReport, InversionStatus, invert
-from .linalg import as_matrix, extreme_eigenvalues, gram
+from .linalg import as_matrix, gram
 from .scaling import ScaleFactorKind, rescale, scale_factor
 
 
@@ -23,10 +23,10 @@ class SingularSystemError(RuntimeError):
 
 
 class InversionStalledError(RuntimeError):
-    """The scale factor put the largest eigenvalue of alpha * X'X at 2 or above.
+    """The trace scale factor put the one eigenvalue of a single-column X'X at 2.
 
-    The residual then stays at or above 1, so the recurrence cannot converge,
-    although another scale factor may solve the same system.
+    The residual then stays at 1, so the recurrence cannot converge, although
+    the other scale factors solve the same system.
     """
 
 
@@ -87,11 +87,10 @@ def solve_transform(x, m, config: PipelineConfig | None = None) -> MatchResult:
 
     ``x`` is the source pattern (rows are observations), ``m`` the target with
     the same row count; ``x`` must have at least as many rows as columns.
-    Raises :class:`InversionStalledError` when the inversion stalls because
-    the chosen scale factor puts an eigenvalue of alpha * X'X at 2 or above,
-    :class:`IterationCapError` when it reaches ``max_iterations`` first, and
-    :class:`SingularSystemError` when the Gram matrix is not positive
-    definite or the inversion diverges.
+    Raises :class:`InversionStalledError` when alpha1 puts a one-column X'X at 2,
+    :class:`IterationCapError` when the inversion reaches ``max_iterations``,
+    :class:`SingularSystemError` when X'X is not positive definite or the
+    inversion of a wider X stalls or diverges, and ``ValueError`` when T overflows.
     """
     if config is None:
         config = PipelineConfig()
@@ -123,21 +122,19 @@ def solve_transform(x, m, config: PipelineConfig | None = None) -> MatchResult:
             f"inversion hit the iteration cap of {report.iterations} iterations "
             f"(residual {report.final_residual:.3e})"
         )
-    if report.status is InversionStatus.STALLED:
-        # The residual stays >= 1 only when alpha * Z has an eigenvalue at or
-        # beyond 0 (a singular system) or 2 (a scale factor too large).  For an
-        # m x n X, forming X'X moves an eigenvalue by at most gamma_m trace(Z),
-        # the eigen step by about n u trace(Z): with eps = 2u, a low end under
-        # (m + n) eps alpha trace(Z) may be a zero eigenvalue, so it is singular.
-        low, high = extreme_eigenvalues(z)
-        level = (x.shape[0] + x.shape[1]) * np.finfo(np.float64).eps * alpha * float(np.trace(z))
-        if alpha * low > level and alpha * high - 1.0 >= 1.0 - alpha * low:
-            raise InversionStalledError(
-                f"inversion stalled under scale factor {config.scale_kind.token}: "
-                f"residual {report.final_residual:.3e} did not drop below 1 in "
-                f"{report.iterations} iterations; the largest eigenvalue of "
-                f"alpha * X'X is {alpha * high:.6g}, not below 2"
-            )
+    # A stall means alpha * Z has an eigenvalue at 0 or at 2 or above.  With Z
+    # positive definite none reaches 2: alpha2 adds min z_ii > 0 to Gershgorin's
+    # row-sum bound on the top one; alpha1's trace exceeds it by the others, > 0
+    # when n >= 2; alpha0 centres the spectrum on 1.  Rounding lands on 2 for
+    # n >= 2 only if the others are below u times the top: singular.  So a stall
+    # is singular unless alpha1 put a one-column Z, the eigenvalue z[0, 0], at 2.
+    if report.status is InversionStatus.STALLED and x.shape[1] == 1:
+        raise InversionStalledError(
+            f"inversion stalled under scale factor {config.scale_kind.token}: "
+            f"residual {report.final_residual:.3e} did not drop below 1 in "
+            f"{report.iterations} iterations; the largest eigenvalue of "
+            f"alpha * X'X is {alpha * z[0, 0]:.6g}, not below 2"
+        )
     if not report.converged:
         raise SingularSystemError(
             f"singular system: inversion {report.status.value} after "
@@ -145,5 +142,10 @@ def solve_transform(x, m, config: PipelineConfig | None = None) -> MatchResult:
         )
 
     transform = (alpha * report.inverse) @ (x.T @ m)
-    distance = float(np.ldexp(np.linalg.norm(x @ transform - m), km))
-    return MatchResult(np.ldexp(transform, km - kx), distance, report)
+    # Undoing the prescale may overflow: the distance then reads inf, T is an error.
+    with np.errstate(over="ignore"):
+        distance = float(np.ldexp(np.linalg.norm(x @ transform - m), km))
+        transform = np.ldexp(transform, km - kx)
+    if not np.isfinite(transform).all():
+        raise ValueError("transform overflows: an entry of T is beyond the float64 range")
+    return MatchResult(transform, distance, report)

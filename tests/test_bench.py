@@ -114,6 +114,12 @@ def test_table1_suite_records_matrix_without_scale_factor():
         "uniform,1,1,inf,alpha2,0,false,3453682501520545093",
     ]
 
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    rows = json.loads(bench.RECORDS.to_json(records), parse_constant=reject)
+    assert [row["kappa"] for row in rows] == ["inf", "inf"]
+
 
 def test_summarize_cells():
     records = [

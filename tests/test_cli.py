@@ -137,6 +137,16 @@ def test_solve_iteration_cap_exits_one(tmp_path, capsys):
     assert "singular" not in err
 
 
+def test_solve_transform_overflow_exits_one(tmp_path, capsys):
+    x_path, m_path = tmp_path / "x.txt", tmp_path / "m.txt"
+    save_matrix(x_path, np.array([[1e-300], [1e-300]]))
+    save_matrix(m_path, np.array([[1e300], [1e300]]))
+
+    rc = main(["solve", "--x", str(x_path), "--m", str(m_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: transform overflows")
+
+
 def test_solve_missing_file_exits_one(tmp_path, capsys):
     rc = main(["solve", "--x", str(tmp_path / "nope.txt"), "--m", str(tmp_path / "m.txt")])
     assert rc == 1

@@ -189,6 +189,13 @@ def test_cap_hit_reports_nonconvergence():
     assert rep.residual_history.shape == (5,)
 
 
+def test_cap_sizes_no_allocation():
+    # A cap far beyond the address space costs nothing until updates run.
+    rep = invert(0.5 * np.eye(2), InversionConfig(max_iterations=10**15))
+    assert rep.status is InversionStatus.CONVERGED
+    assert rep.iterations == 5
+
+
 def test_nonfinite_raises_named_iteration():
     with pytest.raises(DivergenceError, match="iteration 1"), pytest.warns(RuntimeWarning):
         invert(1e200 * np.eye(2))

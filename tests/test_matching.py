@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsqmatch.generate import derive_seed, uniform_pattern
 from lsqmatch.inverter import InversionConfig
@@ -175,6 +179,12 @@ def test_single_column_trace_scale_stalls():
         result = solve_transform(x, m, PipelineConfig(scale_kind=kind))
         assert result.inversion.iterations == 0
         assert result.transform.tolist() == [[2.0]]
+    # Here alpha * z rounds to just below 2, so the recurrence converges, slowly.
+    x = uniform_pattern(5, 1, 3)
+    result = solve_transform(x, 2.0 * x, PipelineConfig(scale_kind=ScaleFactorKind.TRACE))
+    assert result.inversion.converged
+    assert result.inversion.iterations == 56
+    assert abs(result.transform[0, 0] - 2.0) < 1e-6
 
 
 def test_iteration_cap_is_not_singular():
@@ -222,3 +232,62 @@ def test_power_of_two_input_scale_is_exact(log2_scale, kind):
     assert result.transform.tobytes() == base.transform.tobytes()
     assert result.distance == scale * base.distance
     assert result.inversion.residual_history.tobytes() == base.inversion.residual_history.tobytes()
+
+
+def test_answer_beyond_float64_range():
+    # T = 1e600 cannot be represented: the error names the transform, not the input.
+    with pytest.raises(ValueError, match="transform overflows"):
+        solve_transform([[1e-300], [1e-300]], [[1e300], [1e300]])
+    # A residual norm beyond float64 reads inf; T itself is in range.
+    result = solve_transform([[1.0], [1.0]], [[1.7e308], [-1.7e308]])
+    assert result.transform.tolist() == [[0.0]]
+    assert result.distance == math.inf
+
+
+RANK_DEFECTS = ("duplicate column", "zero column", "rank 1")
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**64 - 1),
+    kind=st.sampled_from(list(ScaleFactorKind)),
+    log2_scale=st.integers(-300, 300),
+    defect=st.sampled_from((None,) + RANK_DEFECTS),
+)
+def test_stall_is_singular_unless_single_column_trace(n, k, seed, kind, log2_scale, defect):
+    """A stall names a singular system, except alpha1 on one column; checked against lstsq."""
+    m = n * k + 1
+    x = uniform_pattern(m, n, derive_seed(seed, 0))
+    target = uniform_pattern(m, 2, derive_seed(seed, 1))
+    scale = 2.0**log2_scale
+    config = PipelineConfig(scale_kind=kind)
+    if defect is not None and n >= 2:
+        if defect == "duplicate column":
+            x[:, -1] = x[:, 0]
+        elif defect == "zero column":
+            x[:, -1] = 0.0
+        else:
+            x = np.outer(x[:, 0], x[0])
+        # Forming X'X of a rank-1 X can leave its zero eigenvalues tiny and
+        # positive; the residual may then hover below 1 until the iteration cap.
+        failures = (SingularSystemError, IterationCapError)
+        with pytest.raises(failures if defect == "rank 1" else SingularSystemError):
+            solve_transform(scale * x, scale * target, config)
+        return
+    sv = np.linalg.svd(x, compute_uv=False)
+    kappa2_u = (sv[0] / sv[-1]) ** 2 * 2.0**-53
+    if not kappa2_u < 1e-8:
+        return
+    try:
+        result = solve_transform(scale * x, scale * target, config)
+    except InversionStalledError:
+        assert n == 1 and kind is ScaleFactorKind.TRACE
+        return
+    # T = V A T* exactly, and ||I - V A||_2 <= n max|I - V A| < n eps; forming
+    # X'X and the products add about m kappa(X)^2 u.
+    expected = np.linalg.lstsq(x, target, rcond=None)[0]
+    eps = config.inversion.epsilon
+    bound = n * eps / (1.0 - n * eps) + m * kappa2_u
+    assert np.linalg.norm(result.transform - expected) <= bound * np.linalg.norm(expected)
