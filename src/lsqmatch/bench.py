@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 from operator import attrgetter
-from typing import Any
+from typing import get_type_hints
 
 import numpy as np
 
@@ -243,24 +242,11 @@ def fit_laws(records: list[TrialRecord]) -> list[LawFit]:
 
 
 # ---------------------------------------------------------------------------
-# Serialization.  One column table per artifact type drives its CSV writer,
-# CSV parser and JSON writer, so the JSON keys follow the CSV columns.  All
-# floats are written with repr() (shortest round-trip form), so
+# Serialization.  An artifact's CSV and JSON columns are its dataclass
+# fields, in order, each written and read by the codec of its type.  Floats
+# are written with repr() (shortest round-trip form), so
 # parse(emit(items)) == items exactly and reruns are byte-identical.
 # ---------------------------------------------------------------------------
-
-
-def _fmt_float(value: float) -> str:
-    return repr(float(value))
-
-
-def _json_float(value: float):
-    """A float as JSON holds it: JSON has no inf or nan, so those are written as CSV text."""
-    return value if math.isfinite(value) else _fmt_float(value)
-
-
-def _fmt_bool(value: bool) -> str:
-    return "true" if value else "false"
 
 
 def _parse_bool(text: str) -> bool:
@@ -269,39 +255,42 @@ def _parse_bool(text: str) -> bool:
     return text == "true"
 
 
-_token = attrgetter("token")
+#: CSV writer and reader per field type.
+_CODECS = {
+    str: (str, str),
+    int: (str, int),
+    float: (lambda value: repr(float(value)), float),
+    bool: (lambda value: "true" if value else "false", _parse_bool),
+    ScaleFactorKind: (attrgetter("token"), ScaleFactorKind.from_token),
+}
 
 
-@dataclass(frozen=True)
-class Column:
-    """One artifact column: its CSV/JSON name and the attribute it holds.
+def _json_value(value, fmt):
+    """``value`` where JSON holds it (str, int, bool, finite float), else ``fmt(value)``."""
+    if isinstance(value, (str, int)) or (isinstance(value, float) and math.isfinite(value)):
+        return value
+    return fmt(value)
 
-    ``fmt`` writes the attribute as CSV text, ``parse`` reads it back, and
-    ``to_json`` gives its JSON value.
+
+class ColumnTable:
+    """The CSV and JSON columns of one artifact type: the fields of ``cls``, in order.
+
+    ``renames`` maps a field to its column name where the two differ.
     """
 
-    name: str
-    attr: str
-    fmt: Callable[[Any], str] = str
-    parse: Callable[[str], Any] = str
-    to_json: Callable[[Any], Any] = lambda value: value
-
-
-@dataclass(frozen=True)
-class ColumnTable:
-    """The columns of one artifact type, in CSV and JSON order."""
-
-    cls: type
-    columns: tuple[Column, ...]
-
-    @property
-    def header(self) -> str:
-        return ",".join(c.name for c in self.columns)
+    def __init__(self, cls: type, renames: dict[str, str]):
+        types = get_type_hints(cls)
+        self.cls = cls
+        #: (attribute, column name, CSV writer, CSV reader) per column.
+        self.columns = [
+            (f.name, renames.get(f.name, f.name), *_CODECS[types[f.name]]) for f in fields(cls)
+        ]
+        self.header = ",".join(name for _, name, _, _ in self.columns)
 
     def to_csv(self, items) -> str:
         lines = [self.header]
         for item in items:
-            lines.append(",".join(c.fmt(getattr(item, c.attr)) for c in self.columns))
+            lines.append(",".join(fmt(getattr(item, attr)) for attr, _, fmt, _ in self.columns))
         return "\n".join(lines) + "\n"
 
     def parse_csv(self, text: str) -> list:
@@ -314,11 +303,11 @@ class ColumnTable:
             if len(parts) != len(self.columns):
                 raise ValueError(f"expected {len(self.columns)} fields, got {len(parts)}: {ln!r}")
             values = {}
-            for c, p in zip(self.columns, parts):
+            for (attr, name, _, parse), p in zip(self.columns, parts):
                 try:
-                    values[c.attr] = c.parse(p)
+                    values[attr] = parse(p)
                 except ValueError as exc:
-                    raise ValueError(f"data row {row}, column {c.name!r}: {exc}") from None
+                    raise ValueError(f"data row {row}, column {name!r}: {exc}") from None
             try:
                 items.append(self.cls(**values))
             except ValueError as exc:
@@ -326,7 +315,10 @@ class ColumnTable:
         return items
 
     def to_json(self, items) -> str:
-        rows = [{c.name: c.to_json(getattr(item, c.attr)) for c in self.columns} for item in items]
+        rows = [
+            {name: _json_value(getattr(item, attr), fmt) for attr, name, fmt, _ in self.columns}
+            for item in items
+        ]
         return json.dumps(rows, indent=2, allow_nan=False) + "\n"
 
     def write(self, items, destination, fmt: str = "csv") -> None:
@@ -339,28 +331,8 @@ class ColumnTable:
             raise OSError(f"cannot write {destination}: {exc}") from exc
 
 
-RECORDS = ColumnTable(
-    TrialRecord,
-    (
-        Column("family", "family"),
-        Column("n", "n", parse=int),
-        Column("m", "m", parse=int),
-        Column("kappa", "kappa", _fmt_float, float, _json_float),
-        Column("alpha", "scale_kind", _token, ScaleFactorKind.from_token, _token),
-        Column("iterations", "iterations", parse=int),
-        Column("converged", "converged", _fmt_bool, _parse_bool),
-        Column("seed", "seed", parse=int),
-    ),
-)
-FITS = ColumnTable(
-    LawFit,
-    (
-        Column("law", "law"),
-        Column("mean_dev", "mean_deviation", _fmt_float, float, _json_float),
-        Column("max_abs_dev", "max_abs_deviation", _fmt_float, float, _json_float),
-        Column("trials", "trials", parse=int),
-    ),
-)
+RECORDS = ColumnTable(TrialRecord, {"scale_kind": "alpha"})
+FITS = ColumnTable(LawFit, {"mean_deviation": "mean_dev", "max_abs_deviation": "max_abs_dev"})
 
 
 # ---------------------------------------------------------------------------

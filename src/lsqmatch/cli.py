@@ -13,7 +13,7 @@ from . import bench
 from .generate import MoreToraldoSpec, more_toraldo, uniform_pattern
 from .inverter import InversionConfig
 from .matching import PipelineConfig, solve_transform
-from .matio import first_non_ascii, format_matrix, load_matrix, save_matrix
+from .matio import format_matrix, load_matrix, open_ascii, save_matrix
 from .scaling import ScaleFactorKind
 
 _ALPHA_TOKENS = [k.token for k in ScaleFactorKind]
@@ -108,11 +108,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bench(args) -> int:
     if args.suite == "fit":
-        try:
-            with open(args.infile, "r", encoding="ascii") as fh:
-                records = bench.RECORDS.parse_csv(fh.read())
-        except UnicodeDecodeError:
-            raise ValueError(f"{args.infile}: {first_non_ascii(args.infile)}") from None
+        with open_ascii(args.infile) as fh:
+            records = bench.RECORDS.parse_csv(fh.read())
         fits = bench.fit_laws(records)
         bench.FITS.write(fits, args.out, args.format)
         problems = bench.check_fits(fits) + bench.check_records(records)

@@ -26,8 +26,11 @@ SYMMETRY_TOL = 1e-12
 
 
 def as_matrix(a) -> np.ndarray:
-    """Validate and convert to a 2-D float64 array with finite entries."""
-    out = np.asarray(a, dtype=np.float64)
+    """Validate and convert to a 2-D float64 array with finite real entries."""
+    out = np.asarray(a)
+    if np.iscomplexobj(out):
+        raise ValueError("matrix entries must be real, got a complex matrix")
+    out = np.asarray(out, dtype=np.float64)
     if out.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={out.ndim}")
     if out.shape[0] < 1 or out.shape[1] < 1:
@@ -52,6 +55,11 @@ def symmetrize(a) -> np.ndarray:
             f"matrix is not symmetric: max|a_ij - a_ji| = {gap:.3e} > {SYMMETRY_TOL:.1e}"
         )
     return (out + out.T) * 0.5
+
+
+def binary_exponent(a: np.ndarray) -> int:
+    """The k with max|a| in [2^(k-1), 2^k), or 0 for a zero matrix."""
+    return math.frexp(max(float(a.max()), -float(a.min())))[1]
 
 
 def gram(x: np.ndarray) -> np.ndarray:
@@ -134,17 +142,19 @@ def extreme_eigenvalues(z) -> tuple[float, float]:
     multisection, starting from the tridiagonal's Gershgorin interval, until
     it is 2 eps wide relative to its ends or unit-roundoff wide relative to
     the norm, the accuracy the reduction itself has (the tolerances of
-    LAPACK's dstebz).  Indefinite matrices are fine.  Rejects the same
-    asymmetric input as :func:`symmetrize`.
+    LAPACK's dstebz).  Indefinite matrices are fine.  The symmetry check of
+    :func:`symmetrize` is made after scaling ``z`` to max|z| in [0.5, 1), so
+    it is relative to that largest entry and does not depend on the scale.
     """
-    s = symmetrize(z)
-    n = s.shape[0]
-    top = float(np.abs(s).max())
-    if top == 0.0:
+    # A power-of-two scale keeps max|a| in [0.5, 1) and is undone exactly; it
+    # comes first, so that neither symmetrizing nor the reduction can overflow.
+    a = as_matrix(z)
+    exponent = binary_exponent(a)
+    s = symmetrize(np.ldexp(a, -exponent))
+    if not s.any():
         return 0.0, 0.0
-    # A power-of-two scale keeps max|a| in [0.5, 1) and is undone exactly.
-    scale = math.ldexp(1.0, math.frexp(top)[1])
-    d, e = _tridiagonalize(s / scale)
+    n = s.shape[0]
+    d, e = _tridiagonalize(s)
     e2 = e * e
     eps = np.finfo(np.float64).eps
     pivmin = np.finfo(np.float64).tiny * max(1.0, float(e2.max(initial=0.0)))
@@ -174,6 +184,6 @@ def extreme_eigenvalues(z) -> tuple[float, float]:
                 brackets[row, 0] = shifts[row, k[row] - 1]
             if k[row] < MULTISECTION_SHIFTS:
                 brackets[row, 1] = shifts[row, k[row]]
-    mid = brackets.mean(axis=1) * scale
+    mid = np.ldexp(brackets.mean(axis=1), exponent)
     return float(mid[0]), float(mid[1])
 

@@ -8,13 +8,12 @@ used to estimate wall time on fixed-cost matrix hardware.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .inverter import InversionConfig, InversionReport, InversionStatus, invert
-from .linalg import as_matrix, gram
+from .linalg import as_matrix, binary_exponent, gram
 from .scaling import ScaleFactorKind, rescale, scale_factor
 
 
@@ -77,11 +76,6 @@ def estimate_time_ms(ops: int) -> float:
     return ops * MS_PER_OP
 
 
-def _binary_exponent(a: np.ndarray) -> int:
-    """The k with max|a| in [2^(k-1), 2^k), or 0 for a zero matrix."""
-    return math.frexp(max(float(a.max()), -float(a.min())))[1]
-
-
 def solve_transform(x, m, config: PipelineConfig | None = None) -> MatchResult:
     """Best least-squares T with X T ~ M, via the rescaled inversion recurrence.
 
@@ -108,7 +102,7 @@ def solve_transform(x, m, config: PipelineConfig | None = None) -> MatchResult:
     # Prescale by exact powers of two to largest entries in [0.5, 1), so the
     # scale of X'X no longer follows the input's; where the unscaled solve
     # neither over- nor underflows, T and the distance come out bit-identical.
-    kx, km = _binary_exponent(x), _binary_exponent(m)
+    kx, km = binary_exponent(x), binary_exponent(m)
     x, m = np.ldexp(x, -kx), np.ldexp(m, -km)
     z = gram(x)
     try:

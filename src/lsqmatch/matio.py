@@ -10,7 +10,7 @@ whitespace between values, and ``\\r\\n`` or ``\\r`` line ends.  The header
 is read in Python; the data lines go through numpy's C text reader
 (``np.loadtxt``) in one call.  Only when that reader fails, or its shape
 disagrees with the header, are the lines scanned again, to name the first
-faulty line in the error; a byte outside ASCII has ``load_matrix`` read the
+faulty line in the error; a byte outside ASCII has ``open_ascii`` read the
 file again as bytes, to name its line.
 """
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 import os
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -45,26 +46,29 @@ def save_matrix(path: str | os.PathLike, a) -> None:
 
 def load_matrix(path: str | os.PathLike) -> np.ndarray:
     """Read a matrix file; errors name the file and the 1-based line."""
+    with open_ascii(path) as fh:
+        return _read_matrix(fh, f"{os.fspath(path)}: ")
+
+
+@contextmanager
+def open_ascii(path: str | os.PathLike):
+    """Open ``path`` as ASCII text; a non-ASCII byte read in the block is a ValueError.
+
+    The error names the file and the byte's 1-based line: the file is read
+    again as Latin-1, which maps each byte to the code point of its value,
+    with the same universal-newline line numbering as the ASCII reader.
+    """
     where = f"{os.fspath(path)}: "
     try:
         with open(path, "r", encoding="ascii") as fh:
-            return _read_matrix(fh, where)
+            yield fh
     except UnicodeDecodeError:
-        raise ValueError(where + first_non_ascii(path)) from None
-
-
-def first_non_ascii(path: str | os.PathLike) -> str:
-    """Word the first byte of ``path`` at or above 0x80, by 1-based line.
-
-    Latin-1 maps each byte to the code point of its value, so this reads the
-    raw bytes with the same universal-newline line numbering as the reader.
-    """
-    with open(path, "r", encoding="latin-1") as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.isascii():
-                byte = next(ord(char) for char in line if char > "\x7f")
-                return f"line {number}: non-ASCII byte {byte:#04x}"
-    return "non-ASCII byte"
+        with open(path, "r", encoding="latin-1") as fh:
+            for number, line in enumerate(fh, 1):
+                if not line.isascii():
+                    byte = next(ord(char) for char in line if char > "\x7f")
+                    raise ValueError(f"{where}line {number}: non-ASCII byte {byte:#04x}") from None
+        raise ValueError(f"{where}non-ASCII byte") from None
 
 
 def _read_matrix(fh, where: str) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -206,6 +207,32 @@ def _csv_text(value):
     if isinstance(value, bool):
         return "true" if value else "false"
     return repr(value) if isinstance(value, float) else str(value)
+
+
+@dataclass(frozen=True)
+class _Row:
+    name: str
+    count: int
+    value: float
+    ok: bool
+    kind: ScaleFactorKind
+
+
+def test_column_table_follows_dataclass_fields():
+    # Every field becomes a column, in order, written by the codec of its type.
+    table = bench.ColumnTable(_Row, {"kind": "alpha"})
+    assert table.header == "name,count,value,ok,alpha"
+    rows = [
+        _Row("a", 3, 0.1, True, ScaleFactorKind.TRACE),
+        _Row("b", -1, math.inf, False, ScaleFactorKind.OPTIMAL),
+    ]
+    text = table.to_csv(rows)
+    assert text == "name,count,value,ok,alpha\na,3,0.1,true,alpha1\nb,-1,inf,false,alpha0\n"
+    assert table.parse_csv(text) == rows
+    assert json.loads(table.to_json(rows)) == [
+        {"name": "a", "count": 3, "value": 0.1, "ok": True, "alpha": "alpha1"},
+        {"name": "b", "count": -1, "value": "inf", "ok": False, "alpha": "alpha0"},
+    ]
 
 
 def test_artifact_headers():

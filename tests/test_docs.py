@@ -5,6 +5,7 @@ from itertools import takewhile
 from pathlib import Path
 
 import lsqmatch
+from lsqmatch import bench
 from lsqmatch.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -36,3 +37,9 @@ def test_readme_synopsis_matches_parser():
         path = tuple(takewhile(lambda w: not w.startswith(("-", "[")), words[1:]))
         synopsis[path] = set(re.findall(r"--[a-z][a-z-]*", command))
     assert synopsis == _parser_flags(build_parser())
+
+
+def test_readme_csv_schemas_match_tables():
+    text = README.read_text(encoding="utf-8")
+    assert re.search(r"^Records:\s+`([^`]*)`", text, re.M).group(1) == bench.RECORDS.header
+    assert re.search(r"\bFits:\s+`([^`]*)`", text).group(1) == bench.FITS.header

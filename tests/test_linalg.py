@@ -26,6 +26,11 @@ def test_as_matrix_validation():
         la.as_matrix(np.empty((0, 3)))
     with pytest.raises(ValueError):
         la.as_matrix([1.0, 2.0, 3.0])
+    # A complex entry is refused, not cut to its real part.
+    with pytest.raises(ValueError, match="real"):
+        la.as_matrix([[1 + 1j], [2]])
+    with pytest.raises(ValueError, match="real"):
+        la.as_matrix(np.eye(2, dtype=np.complex128))
 
 
 def test_symmetrize_accepts_roundoff_asymmetry():
@@ -147,6 +152,11 @@ def test_extreme_eigenvalues_structured():
     a = rng.standard_normal((40, 40))
     q = la.gram(rng.standard_normal((30, 30)))
     basis = np.linalg.eigh(q)[1]
+    # b'cb carries rounding-level asymmetry (1.1e-15); scaled by 1e6 it is
+    # 1.2e-9, which passes only because the check is relative to max|z|.
+    rng0 = np.random.default_rng(0)
+    b, c = rng0.standard_normal((5, 5)), rng0.standard_normal((5, 5))
+    bcb = b.T @ (c + c.T) @ b
     cases = [
         np.array([[3.5]]),
         np.array([[-2.0]]),
@@ -162,6 +172,10 @@ def test_extreme_eigenvalues_structured():
         -la.gram(rng.standard_normal((20, 10))),
         1e-200 * np.array([[2.0, 1.0], [1.0, 2.0]]),
         1e200 * np.array([[2.0, 1.0], [1.0, 2.0]]),
+        # Entries at or above 2^1023: a sum of two of them overflows.
+        np.array([[1e308]]),
+        np.diag([1e308, 1.0]),
+        1e6 * bcb,
     ]
     for z in cases:
         w = np.linalg.eigvalsh(z)
@@ -245,6 +259,10 @@ def test_sturm_restart_recomputes_each_row_at_most_twice(monkeypatch):
 def test_extreme_eigenvalues_rejects_asymmetric():
     with pytest.raises(ValueError, match="not symmetric"):
         la.extreme_eigenvalues(np.array([[1.0, 2.0], [2.1, 3.0]]))
+    # The tolerance is relative to max|z|, so the same matrix scaled down is
+    # still rejected.
+    with pytest.raises(ValueError, match="not symmetric"):
+        la.extreme_eigenvalues(1e-20 * np.array([[1.0, 2.0], [2.1, 3.0]]))
     with pytest.raises(ValueError, match="square"):
         la.extreme_eigenvalues(np.ones((2, 3)))
 

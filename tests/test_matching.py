@@ -146,6 +146,14 @@ def test_nonfinite_input_rejected():
         solve_transform(x, bad_m)
 
 
+def test_complex_input_rejected():
+    # Casting to float64 would keep the real part and only warn.
+    with pytest.raises(ValueError, match="real"):
+        solve_transform([[1 + 1j], [2]], [[1], [2]])
+    with pytest.raises(ValueError, match="real"):
+        solve_transform([[1], [2]], np.array([[1], [2]], dtype=np.complex64))
+
+
 def test_singular_system_rejected():
     # duplicated column makes the Gram matrix exactly rank deficient
     base = uniform_pattern(12, 2, 101)
