@@ -1,9 +1,10 @@
 """Least-squares pattern matching driven by the recurrent inverter.
 
 Solves min_T ||X T - M|| (Frobenius) through the normal equations: the Gram
-matrix X'X is rescaled, inverted by the recurrence, and the transform
-recovered as T = (alpha V) (X'M).  Also exposes the operation-count model
-used to estimate wall time on fixed-cost matrix hardware.
+matrix X'X is rescaled, inverted by the self-scaled recurrence, and the
+transform recovered as T = (alpha V) (X'M).  Also exposes the
+operation-count model used to estimate wall time on fixed-cost matrix
+hardware.
 """
 
 from __future__ import annotations
@@ -63,7 +64,12 @@ class MatchResult:
 
 
 def op_count(iterations: int) -> int:
-    """Matrix-operation count of a full matching run: 2 per update pair plus 7."""
+    """Matrix-operation count of a full matching run: 2 per update pair plus 7.
+
+    It counts matrix-matrix operations only.  The self-scaled gain (one
+    scalar times U) and its power steps (matrix-vector products on the
+    residual) are O(n^2) per update and count as none.
+    """
     if iterations < 0:
         raise ValueError(f"iterations must be nonnegative, got {iterations}")
     return 2 * iterations + 7
@@ -77,7 +83,7 @@ def estimate_time_ms(ops: int) -> float:
 
 
 def solve_transform(x, m, config: PipelineConfig | None = None) -> MatchResult:
-    """Best least-squares T with X T ~ M, via the rescaled inversion recurrence.
+    """Best least-squares T with X T ~ M, via the rescaled, self-scaled recurrence.
 
     ``x`` is the source pattern (rows are observations), ``m`` the target with
     the same row count; ``x`` must have at least as many rows as columns.
@@ -103,14 +109,17 @@ def solve_transform(x, m, config: PipelineConfig | None = None) -> MatchResult:
     # scale of X'X no longer follows the input's; where the unscaled solve
     # neither over- nor underflows, T and the distance come out bit-identical.
     kx, km = binary_exponent(x), binary_exponent(m)
-    x, m = np.ldexp(x, -kx), np.ldexp(m, -km)
+    if kx:
+        x = np.ldexp(x, -kx)
+    if km:
+        m = np.ldexp(m, -km)
     z = gram(x)
     try:
         alpha = scale_factor(z, config.scale_kind)
     except ValueError as exc:
         raise SingularSystemError(f"singular system: {exc}") from exc
 
-    report = invert(rescale(z, alpha), config.inversion)
+    report = invert(rescale(z, alpha), config.inversion, self_scaled=True)
     if report.status is InversionStatus.HIT_CAP:
         raise IterationCapError(
             f"inversion hit the iteration cap of {report.iterations} iterations "

@@ -16,7 +16,6 @@ file again as bytes, to name its line.
 
 from __future__ import annotations
 
-import io
 import os
 import warnings
 from contextlib import contextmanager
@@ -32,11 +31,6 @@ def format_matrix(a) -> str:
     lines = [f"{rows} {cols}"]
     lines.extend(" ".join(map(repr, row.tolist())) for row in a)
     return "\n".join(lines) + "\n"
-
-
-def parse_matrix(text: str) -> np.ndarray:
-    """Read a matrix from its text form; errors name the 1-based line."""
-    return _read_matrix(io.StringIO(text, newline=None), "")
 
 
 def save_matrix(path: str | os.PathLike, a) -> None:

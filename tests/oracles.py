@@ -27,3 +27,18 @@ def neumann_partial_sum(a, t: int) -> np.ndarray:
         term = term @ b
         total += term
     return total
+
+
+def self_scaled_count(rho: float, eps: float) -> int:
+    """Updates until rho <- rho^2 / (2 - rho^2), from ``rho``, drops below ``eps``.
+
+    The spectral residual of the self-scaled recurrence when each gain uses
+    the exact ||I - V A||_2; needs 0 <= rho < 1.
+    """
+    if not 0.0 <= rho < 1.0:
+        raise ValueError(f"rho must lie in [0, 1), got {rho}")
+    count = 0
+    while not rho < eps:
+        rho = rho * rho / (2.0 - rho * rho)
+        count += 1
+    return count

@@ -5,7 +5,7 @@ import lsqmatch.bench as bench
 from lsqmatch.cli import build_parser, main
 from lsqmatch.generate import MoreToraldoSpec, more_toraldo, uniform_pattern
 from lsqmatch.matching import MS_PER_OP
-from lsqmatch.matio import format_matrix, load_matrix, parse_matrix, save_matrix
+from lsqmatch.matio import format_matrix, load_matrix, save_matrix
 
 
 def test_help_exits_zero(capsys):
@@ -67,7 +67,7 @@ def test_gen_rejects_bad_kappa(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_solve_recovers_transform(tmp_path, capsys):
+def test_solve_recovers_transform(tmp_path, capsys, load_text):
     x = uniform_pattern(12, 4, 21)
     t0 = uniform_pattern(4, 4, 22)
     x_path, m_path = tmp_path / "x.txt", tmp_path / "m.txt"
@@ -79,7 +79,7 @@ def test_solve_recovers_transform(tmp_path, capsys):
     )
     assert rc == 0
     captured = capsys.readouterr()
-    recovered = parse_matrix(captured.out)
+    recovered = load_text(captured.out)
     assert np.max(np.abs(recovered - t0)) < 1e-6
     assert captured.err.startswith("iterations=")
     for token in ("ops=", "est_ms=", "distance="):

@@ -5,8 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import self_scaled_count
+
 from lsqmatch.generate import MoreToraldoSpec, more_toraldo, uniform_pattern
-from lsqmatch.inverter import InversionStatus, newton_schulz
+from lsqmatch.inverter import InversionStatus, iteration_bound, newton_schulz
 from lsqmatch.scaling import (
     alpha_gershgorin_value,
     alpha_optimal_bounds,
@@ -110,6 +112,16 @@ def _oracle_cases():
     # V_2 overflows to -inf, and -inf * 0 gives NaN in U_2.
     yield pytest.param(np.diag([1e120, 0.5]), 1e-6, 200, id="nonfinite-nan")
     yield pytest.param(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1e-6, 200, id="nan-input")
+    # The first update copies A where the reference forms I A, which can turn
+    # -0.0 into +0.0; U0 = 0.0 - P is +0.0 either way.
+    signed = np.array([[0.5, -0.0, 0.25], [-0.0, 0.75, -0.0], [0.25, -0.0, 1.0]])
+    yield pytest.param(signed, 1e-6, 200, id="negative-zeros")
+    x = uniform_pattern(128, 32, 1032)
+    z = x.T @ x
+    signed = rescale(z, alpha_gershgorin_value(z))
+    signed[::3, 1::3] = -0.0
+    signed[1::3, ::3] = -0.0
+    yield pytest.param(signed, 1e-6, 200, id="negative-zeros-n32")
 
 
 @pytest.mark.parametrize("a, eps, max_iter", _oracle_cases())
@@ -122,17 +134,53 @@ def test_newton_schulz_bit_identical_to_reference(a, eps, max_iter):
     assert v.tobytes() == v_ref.tobytes()
 
 
+@pytest.mark.parametrize("delta", [1e-1, 1e-3, 2.0**-20])
+def test_self_scaled_count_follows_recursion(delta):
+    # On a diagonal A the entrywise residual is the spectral one, so every gain
+    # is exact; a spectrum symmetric about 1 starts from rho = 1 - delta.
+    a = np.diag(np.linspace(delta, 2.0 - delta, 16))
+    _, _, iters, status = newton_schulz(a, 1e-6, 200, self_scaled=True)
+    assert status is InversionStatus.CONVERGED
+    assert iters == self_scaled_count(1.0 - delta, 1e-6)
+    assert newton_schulz(a, 1e-6, 200)[2] == iteration_bound(delta, 2.0 - delta, 1e-6)
+
+
+def test_self_scaled_never_slower_than_plain():
+    for kappa in (2.0**10, 2.0**20):
+        _, z = more_toraldo(MoreToraldoSpec(32, kappa), 2032)
+        for alpha in (
+            alpha_optimal_bounds(1.0, kappa),
+            alpha_trace_value(z),
+            alpha_gershgorin_value(z),
+        ):
+            a = rescale(z, alpha)
+            v, hist, iters, status = newton_schulz(a, 1e-6, 200, self_scaled=True)
+            assert status is InversionStatus.CONVERGED
+            assert iters <= newton_schulz(a, 1e-6, 200)[2]
+            eye = np.eye(32)
+            assert np.abs(2.0 * eye - v @ a - eye).max() == hist[-1] < 1e-6
+
+
+@pytest.mark.parametrize("a", [3.0 * np.eye(4), np.array([[2.0]])], ids=["diverged", "stalled"])
+def test_self_scaled_applies_no_gain_at_or_above_one(a):
+    plain = newton_schulz(a, 1e-6, 200)
+    scaled = newton_schulz(a, 1e-6, 200, self_scaled=True)
+    assert scaled[1].tobytes() == plain[1].tobytes()
+    assert scaled[2:] == plain[2:]
+
+
 def test_newton_schulz_peak_memory():
-    # V and two n x n work buffers, allocated once per call.
+    # V and two n x n work buffers, allocated once per call, in either mode.
     n = 128
     _, z = more_toraldo(MoreToraldoSpec(n, 2.0**10), 11)
     a = rescale(z, alpha_trace_value(z))
-    tracemalloc.start()
-    try:
-        _, _, iters, status = newton_schulz(a, 1e-6, 200)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert status is InversionStatus.CONVERGED
-    assert iters >= 10
-    assert peak <= 3.25 * n * n * 8
+    for self_scaled in (False, True):
+        tracemalloc.start()
+        try:
+            _, _, iters, status = newton_schulz(a, 1e-6, 200, self_scaled)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status is InversionStatus.CONVERGED
+        assert iters >= 10
+        assert peak <= 3.25 * n * n * 8

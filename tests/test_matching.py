@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import self_scaled_count
+
 from lsqmatch.generate import derive_seed, uniform_pattern
 from lsqmatch.inverter import InversionConfig
-from lsqmatch.linalg import gram
+from lsqmatch.linalg import binary_exponent, gram
 from lsqmatch.matching import (
     InversionStalledError,
     IterationCapError,
@@ -18,7 +20,7 @@ from lsqmatch.matching import (
     op_count,
     solve_transform,
 )
-from lsqmatch.scaling import ScaleFactorKind
+from lsqmatch.scaling import ScaleFactorKind, alpha_trace_value, rescale
 
 
 def gaussian_solve(a, b):
@@ -187,23 +189,26 @@ def test_single_column_trace_scale_stalls():
         result = solve_transform(x, m, PipelineConfig(scale_kind=kind))
         assert result.inversion.iterations == 0
         assert result.transform.tolist() == [[2.0]]
-    # Here alpha * z rounds to just below 2, so the recurrence converges, slowly.
+    # Here alpha * z rounds to just below 2, so the recurrence converges, slowly:
+    # at one column the residual is exact, so the count is the self-scaled law's.
     x = uniform_pattern(5, 1, 3)
     result = solve_transform(x, 2.0 * x, PipelineConfig(scale_kind=ScaleFactorKind.TRACE))
+    z = gram(np.ldexp(x, -binary_exponent(x)))
+    a = rescale(z, alpha_trace_value(z))[0, 0]
     assert result.inversion.converged
-    assert result.inversion.iterations == 56
+    assert result.inversion.iterations == self_scaled_count(abs(1.0 - a), 1e-6)
     assert abs(result.transform[0, 0] - 2.0) < 1e-6
 
 
 def test_iteration_cap_is_not_singular():
-    # kappa(X) is 1.9; under the default cap the same system converges in 6 iterations.
+    # kappa(X) is 1.9; under the default cap the same system converges in 4 iterations.
     x, m = uniform_pattern(64, 8, 1), uniform_pattern(64, 2, 2)
     config = PipelineConfig(inversion=InversionConfig(max_iterations=2))
     with pytest.raises(IterationCapError) as info:
         solve_transform(x, m, config)
     assert not isinstance(info.value, SingularSystemError)
-    assert str(info.value) == "inversion hit the iteration cap of 2 iterations (residual 8.518e-02)"
-    assert solve_transform(x, m).inversion.iterations == 6
+    assert str(info.value) == "inversion hit the iteration cap of 2 iterations (residual 2.788e-02)"
+    assert solve_transform(x, m).inversion.iterations == 4
 
 
 def test_zero_pattern_rejected():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lsqmatch.generate import uniform_pattern
-from lsqmatch.matio import format_matrix, load_matrix, parse_matrix, save_matrix
+from lsqmatch.matio import format_matrix, load_matrix, save_matrix
 
 
 def test_format_header_and_layout():
@@ -22,48 +22,49 @@ def test_format_header_and_layout():
     assert text.endswith("\n")
 
 
-def test_roundtrip_is_bit_exact():
+def test_roundtrip_is_bit_exact(load_text):
     for seed in (1, 2, 3):
         a = uniform_pattern(9, 4, seed)
-        back = parse_matrix(format_matrix(a))
+        back = load_text(format_matrix(a))
         assert np.array_equal(a, back)
 
 
-def test_roundtrip_extreme_values():
+def test_roundtrip_extreme_values(load_text):
     a = np.array([[1e-300, 1.7976931348623157e308], [-4.9e-324, 0.3333333333333333]])
-    assert np.array_equal(parse_matrix(format_matrix(a)), a)
+    assert np.array_equal(load_text(format_matrix(a)), a)
 
 
-def test_parse_skips_blank_lines():
-    a = parse_matrix("\n2 2\n1.0 2.0\n\n3.0 4.0\n\n")
+def test_parse_skips_blank_lines(load_text):
+    a = load_text("\n2 2\n1.0 2.0\n\n3.0 4.0\n\n")
     assert np.array_equal(a, np.array([[1.0, 2.0], [3.0, 4.0]]))
 
 
-def test_parse_errors():
+def test_parse_errors(load_text):
+    where = re.escape(load_text.where)
     with pytest.raises(ValueError, match="empty matrix text"):
-        parse_matrix("")
-    with pytest.raises(ValueError, match=r"^line 1: matrix header must be 'rows cols'"):
-        parse_matrix("2\n1.0\n2.0\n")
-    with pytest.raises(ValueError, match=r"^line 2: matrix dimensions must be positive"):
-        parse_matrix("\n0 2\n")
-    with pytest.raises(ValueError, match=r"^line 3: expected 2 values, got 1$"):
-        parse_matrix("2 2\n1.0 2.0\n3.0\n")  # short row
-    with pytest.raises(ValueError, match=r"^line 3: input ends after 2 of 3 data rows$"):
-        parse_matrix("3 2\n1.0 2.0\n3.0 4.0\n")  # missing row
-    with pytest.raises(ValueError, match=r"^line 2: cannot read 'abc' as a number$"):
-        parse_matrix("1 2\n1.0 abc\n")
-    with pytest.raises(ValueError, match=r"^line 1: input ends after 0 of 2 data rows$"):
-        parse_matrix("2 2\n")  # header only
-    with pytest.raises(ValueError, match=r"^line 5: more than 2 data rows$"):
-        parse_matrix("2 1\n1.0\n2.0\n\n3.0\n")
-    with pytest.raises(ValueError, match=r"^line 2: expected 3 values, got 2$"):
-        parse_matrix("2 3\n1.0 2.0\n3.0 4.0\n")  # every row short: the shape check words it
-    with pytest.raises(ValueError, match=r"^line 2: expected 2 values, got 4$"):
-        parse_matrix("1 2\n1.0 2.0 # note\n")  # '#' starts no comment
-    with pytest.raises(ValueError, match=r"^line 2: cannot read '1_0' as a number$"):
-        parse_matrix("1 2\n1_0 2.0\n")  # float() accepts it; the C reader does not
+        load_text("")
+    with pytest.raises(ValueError, match=rf"^{where}line 1: matrix header must be 'rows cols'"):
+        load_text("2\n1.0\n2.0\n")
+    with pytest.raises(ValueError, match=rf"^{where}line 2: matrix dimensions must be positive"):
+        load_text("\n0 2\n")
+    with pytest.raises(ValueError, match=rf"^{where}line 3: expected 2 values, got 1$"):
+        load_text("2 2\n1.0 2.0\n3.0\n")  # short row
+    with pytest.raises(ValueError, match=rf"^{where}line 3: input ends after 2 of 3 data rows$"):
+        load_text("3 2\n1.0 2.0\n3.0 4.0\n")  # missing row
+    with pytest.raises(ValueError, match=rf"^{where}line 2: cannot read 'abc' as a number$"):
+        load_text("1 2\n1.0 abc\n")
+    with pytest.raises(ValueError, match=rf"^{where}line 1: input ends after 0 of 2 data rows$"):
+        load_text("2 2\n")  # header only
+    with pytest.raises(ValueError, match=rf"^{where}line 5: more than 2 data rows$"):
+        load_text("2 1\n1.0\n2.0\n\n3.0\n")
+    with pytest.raises(ValueError, match=rf"^{where}line 2: expected 3 values, got 2$"):
+        load_text("2 3\n1.0 2.0\n3.0 4.0\n")  # every row short: the shape check words it
+    with pytest.raises(ValueError, match=rf"^{where}line 2: expected 2 values, got 4$"):
+        load_text("1 2\n1.0 2.0 # note\n")  # '#' starts no comment
+    with pytest.raises(ValueError, match=rf"^{where}line 2: cannot read '1_0' as a number$"):
+        load_text("1 2\n1_0 2.0\n")  # float() accepts it; the C reader does not
     with pytest.raises(ValueError, match="finite"):
-        parse_matrix("1 2\n1.0 nan\n")
+        load_text("1 2\n1.0 nan\n")
 
 
 def test_load_errors_name_the_file(tmp_path):
@@ -91,7 +92,7 @@ def test_load_errors_name_the_file(tmp_path):
             load_matrix(path)
 
 
-def test_parse_accepts_any_line_end_and_whitespace():
+def test_parse_accepts_any_line_end_and_whitespace(load_text):
     expected = np.array([[1.0, 2.0], [3.0, 4.0]])
     texts = (
         "2 2\r\n1.0 2.0\r\n3.0 4.0\r\n",
@@ -99,7 +100,7 @@ def test_parse_accepts_any_line_end_and_whitespace():
         "2  2\n\t1.0\t 2.0 \n3.0\x0c4.0\n",
     )
     for text in texts:
-        assert np.array_equal(parse_matrix(text), expected)
+        assert np.array_equal(load_text(text), expected)
 
 
 def test_save_and_load(tmp_path):
@@ -143,9 +144,9 @@ HARD_FLOAT_STRINGS = [
 
 
 @pytest.mark.parametrize("token", HARD_FLOAT_STRINGS, ids=[t[:24] for t in HARD_FLOAT_STRINGS])
-def test_reader_rounds_like_python_float(token):
+def test_reader_rounds_like_python_float(load_text, token):
     expected = np.array([[float(token), float("-" + token.lstrip("-"))]])
-    got = parse_matrix(f"1 2\n{token} -{token.lstrip('-')}\n")
+    got = load_text(f"1 2\n{token} -{token.lstrip('-')}\n")
     assert got.tobytes() == expected.tobytes()
 
 
