@@ -4,9 +4,10 @@ The process is V0 = I; U_{t+1} = 2I - V_t A; V_{t+1} = U_{t+1} V_t, which
 converges quadratically to A^-1 whenever the spectrum of A lies in (0, 2):
 V_t is the sum of the first 2^t terms of the Neumann series of A, so the
 spectral residual I - V_t A is (I - A)^(2^t).  ``iteration_bound`` turns
-that into a count.  ``newton_schulz`` runs it without allocating per step,
-plainly or self-scaled: V_{t+1} = beta_t U_{t+1} V_t, with one scalar gain
-per update that recentres the spectrum of V_{t+1} A on 1.
+that into a count for the plain process.  ``invert`` validates A once and
+runs the process without allocating per step, plainly or self-scaled:
+V_{t+1} = beta_t U_{t+1} V_t, with one scalar gain per update that
+recentres the spectrum of V_{t+1} A on 1.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ class InversionStatus(enum.Enum):
     CONVERGED = "converged"
     HIT_CAP = "hit_cap"
     DIVERGED = "diverged"
-    NONFINITE = "nonfinite"
     STALLED = "stalled"
 
 
@@ -68,7 +68,7 @@ class InversionReport:
 
     ``iterations`` counts (U, V) update pairs actually applied;
     ``residual_history[t]`` is max|I - V_t A| for t = 0 .. iterations;
-    ``status`` says why the run stopped, and is never ``NONFINITE``.
+    ``status`` says why the run stopped.
     """
 
     inverse: np.ndarray
@@ -85,21 +85,23 @@ class InversionReport:
         return float(self.residual_history[-1])
 
 
-def newton_schulz(a, eps, max_iter, self_scaled=False):
-    """Recurrent inversion: V0 = I; U = 2I - V A; V <- U V.
+def invert(a, cfg: InversionConfig | None = None, self_scaled=False) -> InversionReport:
+    """Run the recurrence V0 = I; U = 2I - V A; V <- U V on symmetric ``a``.
 
-    Each call allocates V and two n x n work buffers, P and W, once; an
-    iteration allocates no n x n array.  P receives V A.  The diagonal of U,
-    ``2.0 - P`` on the strided view ``P.reshape(-1)[::n + 1]``, is kept in an
-    n-vector; ``0.0 - P`` in place gives U off the diagonal (it keeps +0.0
-    exactly as ``2I - P`` does).  The diagonal of P then holds U - I, so P
-    holds the residual R = I - V A; W takes |R|, whose max is the residual
-    max|I - V_t A|, and the diagonal is set back to U's.  W then receives
-    U V and trades places with V.  The first update makes no product:
-    V0 A is A, copied into P, and U0 V0 is U0, which P hands over as V1.
-    Every entry goes through the same floating-point operations as
-    ``2.0 * eye - v @ a``, so the plain run's iterates and residuals are
-    bit-identical to that formulation.
+    The caller rescales ``a`` so its spectrum lies in (0, 2).  ``a`` is
+    validated by :func:`symmetrize` and then only read; an exactly symmetric
+    input is not copied.  Each call allocates V and two n x n work buffers,
+    P and W, once; an iteration allocates no n x n array.  P receives V A.
+    The diagonal of U, ``2.0 - P`` on the strided view
+    ``P.reshape(-1)[::n + 1]``, is kept in an n-vector; ``0.0 - P`` in place
+    gives U off the diagonal (it keeps +0.0 exactly as ``2I - P`` does).  The
+    diagonal of P then holds U - I, so P holds the residual R = I - V A; W
+    takes |R|, whose max is the residual max|I - V_t A|, and the diagonal is
+    set back to U's.  W then receives U V and trades places with V.  The
+    first update makes no product: V0 A is A, copied into P, and U0 V0 is
+    U0, which P hands over as V1.  Every entry goes through the same
+    floating-point operations as ``2.0 * eye - v @ a``, so the plain run's
+    iterates and residuals are bit-identical to that formulation.
 
     With ``self_scaled`` each update also scales U in place by one gain
     beta = 2 / (2 - rho^2) before the U V product, which centres the
@@ -112,15 +114,22 @@ def newton_schulz(a, eps, max_iter, self_scaled=False):
     contracts worse than the plain update.  A residual at or above 1 gets
     no gain, so the stall and divergence rules read as in the plain run.
 
-    Stops as CONVERGED when the residual drops below ``eps``, HIT_CAP after
-    ``max_iter`` updates, NONFINITE on a non-finite residual, and, once the
-    residual is at least 1 and has not dropped for three updates in a row,
-    DIVERGED if it rose strictly above 1 in each of them, else STALLED.
-    Returns ``(v, residual_history, iterations, status)``.
+    The report's ``status`` is CONVERGED when the residual drops below
+    ``cfg.epsilon`` (the t = 0 test checks I - A itself), HIT_CAP after
+    ``cfg.max_iterations`` updates, and, once the residual is at least 1 and
+    has not dropped for three updates in a row, DIVERGED if it rose strictly
+    above 1 in each of them, else STALLED.  A residual at or above 1 means A
+    has an eigenvalue outside (0, 2), for example a single-column Gram matrix
+    under the trace scale factor, whose rescaled eigenvalue is exactly 2.
+    A non-finite residual raises :class:`DivergenceError`.
     """
+    if cfg is None:
+        cfg = InversionConfig()
+    a = symmetrize(a)
+    eps, max_iter = float(cfg.epsilon), cfg.max_iterations
     n = a.shape[0]
     v = np.eye(n)
-    p = np.array(a, dtype=np.float64, order="C")
+    p = a.copy()
     w = np.empty((n, n))
     p_diag = p.reshape(-1)[:: n + 1]
     u_diag = np.empty(n)
@@ -138,17 +147,17 @@ def newton_schulz(a, eps, max_iter, self_scaled=False):
         r = np.abs(p, out=w).max()
         history.append(r)
         if not np.isfinite(r):
-            return v, np.array(history), t, InversionStatus.NONFINITE
+            raise DivergenceError(t)
         if r < eps:
-            return v, np.array(history), t, InversionStatus.CONVERGED
+            return InversionReport(v, t, np.array(history), InversionStatus.CONVERGED)
         if t == max_iter:
-            return v, np.array(history), t, InversionStatus.HIT_CAP
+            return InversionReport(v, t, np.array(history), InversionStatus.HIT_CAP)
         if r >= 1.0 and r >= prev:
             flat += 1
             grow = grow + 1 if r > 1.0 and r > prev else 0
             if flat >= 3:
                 status = InversionStatus.DIVERGED if grow >= 3 else InversionStatus.STALLED
-                return v, np.array(history), t, status
+                return InversionReport(v, t, np.array(history), status)
         else:
             flat = grow = 0
         prev = r
@@ -181,29 +190,6 @@ def _gain(r_buf, r, x, y):
     return 2.0 / (2.0 - rho * rho) if rho < 1.0 else 1.0
 
 
-def invert(a, cfg: InversionConfig | None = None, self_scaled=False) -> InversionReport:
-    """Run the inversion recurrence on symmetric ``a`` until it stops.
-
-    ``self_scaled`` applies :func:`newton_schulz`'s gain per update.
-
-    The caller rescales ``a`` so its spectrum lies in (0, 2).  The report's
-    ``status`` says why the run stopped, by the rules of :func:`newton_schulz`
-    (the t = 0 test checks I - A itself).  A residual at or above 1 means A
-    has an eigenvalue outside (0, 2), for example a single-column Gram matrix
-    under the trace scale factor, whose rescaled eigenvalue is exactly 2.
-    Non-finite iterates raise :class:`DivergenceError`.
-    """
-    if cfg is None:
-        cfg = InversionConfig()
-    a = symmetrize(a)
-    v, history, iterations, status = newton_schulz(
-        a, float(cfg.epsilon), cfg.max_iterations, self_scaled
-    )
-    if status is InversionStatus.NONFINITE:
-        raise DivergenceError(iterations)
-    return InversionReport(v, iterations, history, status)
-
-
 def iteration_bound(low: float, high: float, epsilon: float) -> int:
     """Updates after which the spectral residual is below ``epsilon``.
 
@@ -214,9 +200,11 @@ def iteration_bound(low: float, high: float, epsilon: float) -> int:
     stop earlier, never later, and so can a self-scaled run.  Raises
     ``ValueError`` unless c < 1 and 0 < eps < 1.
 
-    No production path calls it yet.  It is the library's one exact count,
-    kept for predicted counts in the benchmark records and for a self-scaled
-    recurrence to extend; the tests check it against observed counts.
+    No production path calls it yet.  It is the library's one exact count
+    of the plain recurrence, which the benchmark suites run, kept for the
+    predicted counts in their records; the tests check it against observed
+    counts.  A self-scaled run contracts as rho <- rho^2 / (2 - rho^2) and
+    is not counted by it.
     """
     contraction = max(abs(1.0 - low), abs(1.0 - high))
     if not contraction < 1.0:

@@ -41,14 +41,22 @@ def as_matrix(a) -> np.ndarray:
 
 
 def symmetrize(a) -> np.ndarray:
-    """Return the exactly symmetric average of ``a`` and its transpose.
+    """Return ``a`` validated and exactly symmetric: (i,j) == (j,i) bit for bit.
 
-    Accepts square matrices whose asymmetry ``max|a_ij - a_ji|`` is at most
-    ``SYMMETRY_TOL``; anything worse is rejected, not silently averaged away.
+    A matrix already symmetric bit for bit comes back as :func:`as_matrix`
+    gives it, with no copy, so it may be the caller's array; callers must not
+    write to the result.  Otherwise the result is a new array, the average of
+    ``a`` and its transpose, which also sets a zero whose sign differs from
+    its mirror's to +0.0.  Accepts square matrices whose asymmetry
+    ``max|a_ij - a_ji|`` is at most ``SYMMETRY_TOL``; anything worse is
+    rejected, not silently averaged away.
     """
     out = as_matrix(a)
     if out.shape[0] != out.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {out.shape}")
+    bits = out.view(np.int64)
+    if np.array_equal(bits, bits.T):
+        return out
     gap = float(np.abs(out - out.T).max())
     if gap > SYMMETRY_TOL:
         raise ValueError(
@@ -148,6 +156,7 @@ def extreme_eigenvalues(z) -> tuple[float, float]:
     """
     # A power-of-two scale keeps max|a| in [0.5, 1) and is undone exactly; it
     # comes first, so that neither symmetrizing nor the reduction can overflow.
+    # It also gives the fresh array that the reduction overwrites.
     a = as_matrix(z)
     exponent = binary_exponent(a)
     s = symmetrize(np.ldexp(a, -exponent))

@@ -147,7 +147,8 @@ def solve_transform(x, m, config: PipelineConfig | None = None) -> MatchResult:
     transform = (alpha * report.inverse) @ (x.T @ m)
     # Undoing the prescale may overflow: the distance then reads inf, T is an error.
     with np.errstate(over="ignore"):
-        distance = float(np.ldexp(np.linalg.norm(x @ transform - m), km))
+        r = (x @ transform - m).ravel()
+        distance = float(np.ldexp(np.sqrt(r @ r), km))
         transform = np.ldexp(transform, km - kx)
     if not np.isfinite(transform).all():
         raise ValueError("transform overflows: an entry of T is beyond the float64 range")

@@ -9,6 +9,7 @@ from lsqmatch import bench
 from lsqmatch.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = Path(lsqmatch.__file__).resolve().parent
 
 
 def test_readme_module_list_matches_package():
@@ -43,3 +44,15 @@ def test_readme_csv_schemas_match_tables():
     text = README.read_text(encoding="utf-8")
     assert re.search(r"^Records:\s+`([^`]*)`", text, re.M).group(1) == bench.RECORDS.header
     assert re.search(r"\bFits:\s+`([^`]*)`", text).group(1) == bench.FITS.header
+
+
+def test_package_does_not_use_numpy_linalg():
+    # README's promise, and what keeps the tests' numpy.linalg oracles independent.
+    pattern = re.compile(r"\b(?:np|numpy)\.linalg\b|\bfrom numpy import\b.*\blinalg\b")
+    uses = [
+        f"{path.name}:{number}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert uses == []

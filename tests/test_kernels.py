@@ -1,4 +1,8 @@
-"""Tests of the recurrence loop ``inverter.newton_schulz`` and its stop statuses."""
+"""Tests of the recurrence loop in ``inverter.invert``: its iterates, stop statuses and memory.
+
+``test_newton_schulz_bit_identical_to_reference`` pins the in-place loop to
+the recurrence written plainly, bit for bit.
+"""
 
 import tracemalloc
 
@@ -8,7 +12,13 @@ import pytest
 from oracles import self_scaled_count
 
 from lsqmatch.generate import MoreToraldoSpec, more_toraldo, uniform_pattern
-from lsqmatch.inverter import InversionStatus, iteration_bound, newton_schulz
+from lsqmatch.inverter import (
+    DivergenceError,
+    InversionConfig,
+    InversionStatus,
+    invert,
+    iteration_bound,
+)
 from lsqmatch.scaling import (
     alpha_gershgorin_value,
     alpha_optimal_bounds,
@@ -18,44 +28,39 @@ from lsqmatch.scaling import (
 
 
 def test_numpy_newton_schulz_basic():
-    a = 0.5 * np.eye(3)
-    v, hist, iters, status = newton_schulz(a, 1e-6, 200)
-    assert status is InversionStatus.CONVERGED
-    assert iters == 5
-    assert hist.shape == (6,)
-    assert np.abs(v - 2.0 * np.eye(3)).max() < 1e-8
+    rep = invert(0.5 * np.eye(3))
+    assert rep.status is InversionStatus.CONVERGED
+    assert rep.iterations == 5
+    assert rep.residual_history.shape == (6,)
+    assert np.abs(rep.inverse - 2.0 * np.eye(3)).max() < 1e-8
 
 
 def test_divergence_status():
-    a = 3.0 * np.eye(4)
-    _, hist, iters, status = newton_schulz(a, 1e-6, 200)
-    assert status is InversionStatus.DIVERGED
-    assert iters == 3
-    assert list(hist) == [2.0, 4.0, 16.0, 256.0]
+    rep = invert(3.0 * np.eye(4))
+    assert rep.status is InversionStatus.DIVERGED
+    assert rep.iterations == 3
+    assert list(rep.residual_history) == [2.0, 4.0, 16.0, 256.0]
 
 
 def test_nonfinite_status():
-    a = 1e200 * np.eye(2)
-    with pytest.warns(RuntimeWarning):
-        _, _, iters, status = newton_schulz(a, 1e-6, 200)
-    assert status is InversionStatus.NONFINITE
-    assert iters == 1
+    with pytest.warns(RuntimeWarning), pytest.raises(DivergenceError) as caught:
+        invert(1e200 * np.eye(2))
+    assert caught.value.iteration == 1
 
 
 def test_cap_status():
-    a = 0.5 * np.eye(2)
-    _, hist, iters, status = newton_schulz(a, 1e-300, 3)
-    assert status is InversionStatus.HIT_CAP
-    assert iters == 3
-    assert hist.shape == (4,)
+    rep = invert(0.5 * np.eye(2), InversionConfig(1e-300, 3))
+    assert rep.status is InversionStatus.HIT_CAP
+    assert rep.iterations == 3
+    assert rep.residual_history.shape == (4,)
 
 
 def test_stalled_status():
     # A rescaled eigenvalue of exactly 2 keeps |1 - 2| = 1 at every step.
-    _, hist, iters, status = newton_schulz(np.array([[2.0]]), 1e-6, 200)
-    assert status is InversionStatus.STALLED
-    assert iters == 3
-    assert list(hist) == [1.0, 1.0, 1.0, 1.0]
+    rep = invert(np.array([[2.0]]))
+    assert rep.status is InversionStatus.STALLED
+    assert rep.iterations == 3
+    assert list(rep.residual_history) == [1.0, 1.0, 1.0, 1.0]
 
 
 def _reference_newton_schulz(a, eps, max_iter):
@@ -74,7 +79,7 @@ def _reference_newton_schulz(a, eps, max_iter):
         r = np.abs(u - eye).max()
         history.append(r)
         if not np.isfinite(r):
-            return v, np.array(history), t, InversionStatus.NONFINITE
+            raise DivergenceError(t)
         if r < eps:
             return v, np.array(history), t, InversionStatus.CONVERGED
         if t == max_iter:
@@ -126,12 +131,24 @@ def _oracle_cases():
 
 @pytest.mark.parametrize("a, eps, max_iter", _oracle_cases())
 def test_newton_schulz_bit_identical_to_reference(a, eps, max_iter):
+    cfg = InversionConfig(eps, max_iter)
+    if not np.isfinite(a).all():
+        # Validation refuses it before the loop starts.
+        with pytest.raises(ValueError, match="finite"):
+            invert(a, cfg)
+        return
     with np.errstate(over="ignore", invalid="ignore"):
-        v, hist, iters, status = newton_schulz(a, eps, max_iter)
-        v_ref, hist_ref, iters_ref, status_ref = _reference_newton_schulz(a, eps, max_iter)
-    assert (iters, status) == (iters_ref, status_ref)
-    assert hist.tobytes() == hist_ref.tobytes()
-    assert v.tobytes() == v_ref.tobytes()
+        try:
+            v_ref, hist_ref, iters_ref, status_ref = _reference_newton_schulz(a, eps, max_iter)
+        except DivergenceError as ref:
+            with pytest.raises(DivergenceError) as caught:
+                invert(a, cfg)
+            assert caught.value.iteration == ref.iteration
+            return
+        rep = invert(a, cfg)
+    assert (rep.iterations, rep.status) == (iters_ref, status_ref)
+    assert rep.residual_history.tobytes() == hist_ref.tobytes()
+    assert rep.inverse.tobytes() == v_ref.tobytes()
 
 
 @pytest.mark.parametrize("delta", [1e-1, 1e-3, 2.0**-20])
@@ -139,10 +156,10 @@ def test_self_scaled_count_follows_recursion(delta):
     # On a diagonal A the entrywise residual is the spectral one, so every gain
     # is exact; a spectrum symmetric about 1 starts from rho = 1 - delta.
     a = np.diag(np.linspace(delta, 2.0 - delta, 16))
-    _, _, iters, status = newton_schulz(a, 1e-6, 200, self_scaled=True)
-    assert status is InversionStatus.CONVERGED
-    assert iters == self_scaled_count(1.0 - delta, 1e-6)
-    assert newton_schulz(a, 1e-6, 200)[2] == iteration_bound(delta, 2.0 - delta, 1e-6)
+    rep = invert(a, self_scaled=True)
+    assert rep.status is InversionStatus.CONVERGED
+    assert rep.iterations == self_scaled_count(1.0 - delta, 1e-6)
+    assert invert(a).iterations == iteration_bound(delta, 2.0 - delta, 1e-6)
 
 
 def test_self_scaled_never_slower_than_plain():
@@ -154,33 +171,49 @@ def test_self_scaled_never_slower_than_plain():
             alpha_gershgorin_value(z),
         ):
             a = rescale(z, alpha)
-            v, hist, iters, status = newton_schulz(a, 1e-6, 200, self_scaled=True)
-            assert status is InversionStatus.CONVERGED
-            assert iters <= newton_schulz(a, 1e-6, 200)[2]
+            rep = invert(a, self_scaled=True)
+            assert rep.status is InversionStatus.CONVERGED
+            assert rep.iterations <= invert(a).iterations
             eye = np.eye(32)
-            assert np.abs(2.0 * eye - v @ a - eye).max() == hist[-1] < 1e-6
+            assert np.abs(2.0 * eye - rep.inverse @ a - eye).max() == rep.final_residual < 1e-6
 
 
 @pytest.mark.parametrize("a", [3.0 * np.eye(4), np.array([[2.0]])], ids=["diverged", "stalled"])
 def test_self_scaled_applies_no_gain_at_or_above_one(a):
-    plain = newton_schulz(a, 1e-6, 200)
-    scaled = newton_schulz(a, 1e-6, 200, self_scaled=True)
-    assert scaled[1].tobytes() == plain[1].tobytes()
-    assert scaled[2:] == plain[2:]
+    plain = invert(a)
+    scaled = invert(a, self_scaled=True)
+    assert scaled.residual_history.tobytes() == plain.residual_history.tobytes()
+    assert (scaled.iterations, scaled.status) == (plain.iterations, plain.status)
+
+
+def test_invert_reads_a_read_only_input():
+    _, z = more_toraldo(MoreToraldoSpec(16, 2.0**10), 12)
+    a = rescale(z, alpha_gershgorin_value(z))
+    assert a.tobytes() == a.T.copy().tobytes()  # so validation does not copy it
+    kept = a.copy()
+    a.setflags(write=False)
+    for self_scaled in (False, True):
+        rep = invert(a, self_scaled=self_scaled)
+        ref = invert(kept, self_scaled=self_scaled)
+        assert (rep.iterations, rep.status) == (ref.iterations, ref.status)
+        assert rep.residual_history.tobytes() == ref.residual_history.tobytes()
+        assert rep.inverse.tobytes() == ref.inverse.tobytes()
+        assert a.tobytes() == kept.tobytes()
 
 
 def test_newton_schulz_peak_memory():
-    # V and two n x n work buffers, allocated once per call, in either mode.
+    # V and two n x n work buffers, allocated once per call, in either mode;
+    # validation neither copies the symmetric input nor keeps a temporary.
     n = 128
     _, z = more_toraldo(MoreToraldoSpec(n, 2.0**10), 11)
     a = rescale(z, alpha_trace_value(z))
     for self_scaled in (False, True):
         tracemalloc.start()
         try:
-            _, _, iters, status = newton_schulz(a, 1e-6, 200, self_scaled)
+            rep = invert(a, self_scaled=self_scaled)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert status is InversionStatus.CONVERGED
-        assert iters >= 10
+        assert rep.status is InversionStatus.CONVERGED
+        assert rep.iterations >= 10
         assert peak <= 3.25 * n * n * 8

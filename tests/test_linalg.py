@@ -46,6 +46,32 @@ def test_symmetrize_rejects_asymmetric():
         la.symmetrize(np.ones((2, 3)))
 
 
+def test_symmetrize_returns_a_symmetric_input_uncopied():
+    a = _random_spd(6, 21)
+    a.setflags(write=False)
+    assert la.symmetrize(a) is a
+
+
+def test_symmetrize_averages_a_zero_of_the_other_sign():
+    # Equal as numbers but not bit for bit: the average sets both to +0.0.
+    a = np.array([[1.0, -0.0], [0.0, 1.0]])
+    s = la.symmetrize(a)
+    assert s is not a
+    assert s.tobytes() == np.eye(2).tobytes()
+    assert np.signbit(a[0, 1]) and not np.signbit(a[1, 0])
+
+
+def test_extreme_eigenvalues_of_a_read_only_input():
+    # The reduction overwrites its argument, so it must get a fresh array, also
+    # when max|z| is already in [0.5, 1) and the power-of-two scale is 1.
+    z = _random_spd(7, 22)
+    z = np.ldexp(z, -la.binary_exponent(z))
+    kept = z.copy()
+    z.setflags(write=False)
+    assert la.extreme_eigenvalues(z) == la.extreme_eigenvalues(kept)
+    assert z.tobytes() == kept.tobytes()
+
+
 def test_gram_example():
     g = la.gram(np.array([[1.0, 1.0], [0.0, 1.0]]))
     assert np.array_equal(g, np.array([[1.0, 1.0], [1.0, 2.0]]))
