@@ -47,9 +47,11 @@ def symmetrize(a) -> np.ndarray:
     gives it, with no copy, so it may be the caller's array; callers must not
     write to the result.  Otherwise the result is a new array, the average of
     ``a`` and its transpose, which also sets a zero whose sign differs from
-    its mirror's to +0.0.  Accepts square matrices whose asymmetry
-    ``max|a_ij - a_ji|`` is at most ``SYMMETRY_TOL``; anything worse is
-    rejected, not silently averaged away.
+    its mirror's to +0.0.  Each half is taken before the sum, so no entry
+    overflows; an entry below 2^-1021 in magnitude may then be one unit of
+    2^-1074 away from the correctly rounded average.  Accepts square matrices
+    whose asymmetry ``max|a_ij - a_ji|`` is at most ``SYMMETRY_TOL``; anything
+    worse is rejected, not silently averaged away.
     """
     out = as_matrix(a)
     if out.shape[0] != out.shape[1]:
@@ -62,7 +64,7 @@ def symmetrize(a) -> np.ndarray:
         raise ValueError(
             f"matrix is not symmetric: max|a_ij - a_ji| = {gap:.3e} > {SYMMETRY_TOL:.1e}"
         )
-    return (out + out.T) * 0.5
+    return out * 0.5 + out.T * 0.5
 
 
 def binary_exponent(a: np.ndarray) -> int:
@@ -71,9 +73,13 @@ def binary_exponent(a: np.ndarray) -> int:
 
 
 def gram(x: np.ndarray) -> np.ndarray:
-    """X'X of a trusted float64 matrix, symmetrized exactly: (i,j) == (j,i) bit-for-bit."""
-    g = x.T @ x
-    return (g + g.T) * 0.5
+    """X'X of a trusted float64 matrix, exactly symmetric: (i,j) == (j,i) bit-for-bit.
+
+    numpy's ``x.T @ x`` is that already: its BLAS path (syrk) computes one
+    triangle and copies it to the other, and its fallback loop sums the same
+    commutative products in the same order for (i,j) and (j,i).
+    """
+    return x.T @ x
 
 
 def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

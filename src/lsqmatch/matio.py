@@ -26,16 +26,26 @@ from .linalg import as_matrix
 
 
 def format_matrix(a) -> str:
-    a = as_matrix(a)
-    rows, cols = a.shape
-    lines = [f"{rows} {cols}"]
-    lines.extend(" ".join(map(repr, row.tolist())) for row in a)
-    return "\n".join(lines) + "\n"
+    return "".join(_lines(as_matrix(a)))
 
 
 def save_matrix(path: str | os.PathLike, a) -> None:
+    """Write ``a`` to ``path``, holding one row's text at a time.
+
+    ``a`` is validated before the file is opened, so a rejected matrix
+    leaves an existing file as it was.
+    """
+    a = as_matrix(a)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_matrix(a))
+        fh.writelines(_lines(a))
+
+
+def _lines(a: np.ndarray):
+    """The text of validated ``a``: its header line, then one line per row."""
+    rows, cols = a.shape
+    yield f"{rows} {cols}\n"
+    for row in a:
+        yield " ".join(map(repr, row.tolist())) + "\n"
 
 
 def load_matrix(path: str | os.PathLike) -> np.ndarray:

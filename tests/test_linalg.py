@@ -59,6 +59,21 @@ def test_symmetrize_averages_a_zero_of_the_other_sign():
     assert s is not a
     assert s.tobytes() == np.eye(2).tobytes()
     assert np.signbit(a[0, 1]) and not np.signbit(a[1, 0])
+    # An entry above half the float64 maximum is averaged without overflow.
+    big = la.symmetrize([[1e308, -0.0], [0.0, 1.0]])
+    assert big.tobytes() == np.array([[1e308, 0.0], [0.0, 1.0]]).tobytes()
+
+
+def test_symmetrize_average_of_subnormals():
+    # Halving before the sum rounds each odd subnormal on its own, so the
+    # result may be one unit of 2^-1074 off the correctly rounded average.
+    unit = 5e-324
+    steps = np.arange(-9, 10)
+    for p in steps:
+        for q in steps[steps != p]:
+            s = la.symmetrize(np.array([[0.0, p * unit], [q * unit, 0.0]]))
+            assert s[0, 1].tobytes() == s[1, 0].tobytes()
+            assert abs(s[0, 1] / unit - (p + q) / 2) <= 1.0
 
 
 def test_extreme_eigenvalues_of_a_read_only_input():
@@ -77,12 +92,32 @@ def test_gram_example():
     assert np.array_equal(g, np.array([[1.0, 1.0], [1.0, 2.0]]))
 
 
+def _gram_inputs():
+    rng = np.random.default_rng(17)
+    for shape in ((1, 1), (9, 1), (64, 64), (2048, 256), (4096, 64)):
+        x = rng.standard_normal(shape)
+        yield x
+        yield np.asfortranarray(x)
+    wide = uniform_pattern(512, 128, 5)
+    yield wide[:, ::2]
+    yield wide[::3]
+    for scale in (1e-100, 1e-50, 1e50, 1e100):
+        yield uniform_pattern(200, 40, 3) * scale
+    for n in (16, 64, 256):
+        for log2_kappa in (10, 20):
+            yield more_toraldo(MoreToraldoSpec(n, 2.0**log2_kappa), 1)[0]
+
+
 def test_gram_matches_transpose_multiply():
-    for seed in (1, 2, 3):
-        x = uniform_pattern(7, 3, seed)
+    # gram returns numpy's X.T @ X unaveraged: that product is bit-symmetric,
+    # so it equals the average with its transpose bit for bit.  Only the
+    # installed numpy and BLAS are checked.
+    for x in _gram_inputs():
+        g = la.gram(x)
         direct = x.T @ x
-        sym = (direct + direct.T) * 0.5
-        assert np.abs(la.gram(x) - sym).max() < 1e-12
+        assert g.tobytes() == direct.tobytes()
+        assert g.tobytes() == g.T.copy().tobytes()
+        assert g.tobytes() == ((direct + direct.T) * 0.5).tobytes()
 
 
 def test_eigen_diagonal_example():

@@ -1,6 +1,7 @@
 import decimal
 import re
 import sys
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -108,6 +109,30 @@ def test_save_and_load(tmp_path):
     path = tmp_path / "a.mat"
     save_matrix(path, a)
     assert np.array_equal(load_matrix(path), a)
+
+
+def test_save_holds_one_row_of_text(tmp_path):
+    # A writer that builds the whole text first peaks near 7.6 x a.nbytes.
+    a = uniform_pattern(2000, 50, 13)
+    path = tmp_path / "a.mat"
+    tracemalloc.start()
+    try:
+        save_matrix(path, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes / 4
+    assert path.read_text(encoding="ascii") == format_matrix(a)
+
+
+def test_save_rejects_before_opening(tmp_path):
+    path = tmp_path / "a.mat"
+    save_matrix(path, [[1.0, 2.0]])
+    kept = path.read_bytes()
+    for bad in ([[np.nan]], [[1.0, np.inf]], [1.0, 2.0], [[1j]]):
+        with pytest.raises(ValueError):
+            save_matrix(path, bad)
+        assert path.read_bytes() == kept
 
 
 def test_load_missing_file(tmp_path):
