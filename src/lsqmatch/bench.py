@@ -261,7 +261,7 @@ _CODECS = {
     int: (str, int),
     float: (lambda value: repr(float(value)), float),
     bool: (lambda value: "true" if value else "false", _parse_bool),
-    ScaleFactorKind: (attrgetter("token"), ScaleFactorKind.from_token),
+    ScaleFactorKind: (attrgetter("value"), ScaleFactorKind),
 }
 
 
@@ -350,7 +350,7 @@ def check_records(records: list[TrialRecord]) -> list[str]:
         if not r.converged:
             problems.append(
                 f"non-converged trial: family={r.family} n={r.n} m={r.m} "
-                f"alpha={r.scale_kind.token} seed={r.seed}"
+                f"alpha={r.scale_kind.value} seed={r.seed}"
             )
     return problems
 

@@ -16,7 +16,7 @@ from .matching import PipelineConfig, solve_transform
 from .matio import format_matrix, load_matrix, open_ascii, save_matrix
 from .scaling import ScaleFactorKind
 
-_ALPHA_TOKENS = [k.token for k in ScaleFactorKind]
+_ALPHA_TOKENS = [k.value for k in ScaleFactorKind]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--x", required=True, help="source pattern file")
     solve.add_argument("--m", required=True, help="target pattern file")
-    solve.add_argument("--alpha", choices=_ALPHA_TOKENS, default=PipelineConfig.scale_kind.token)
+    solve.add_argument("--alpha", choices=_ALPHA_TOKENS, default=PipelineConfig.scale_kind.value)
     solve.add_argument("--eps", type=float, default=InversionConfig.epsilon)
     solve.add_argument("--max-iter", type=int, default=InversionConfig.max_iterations)
 
@@ -94,7 +94,7 @@ def _cmd_solve(args) -> int:
     x = load_matrix(args.x)
     m = load_matrix(args.m)
     config = PipelineConfig(
-        scale_kind=ScaleFactorKind.from_token(args.alpha),
+        scale_kind=ScaleFactorKind(args.alpha),
         inversion=InversionConfig(epsilon=args.eps, max_iterations=args.max_iter),
     )
     result = solve_transform(x, m, config)
@@ -120,7 +120,7 @@ def _cmd_bench(args) -> int:
         if args.suite == "table1":
             for cell in bench.summarize_cells(records):
                 sys.stderr.write(
-                    f"cell n={cell.n} m={cell.m} alpha={cell.scale_kind.token}: "
+                    f"cell n={cell.n} m={cell.m} alpha={cell.scale_kind.value}: "
                     f"mean={cell.mean_iterations:.3f} sd={cell.sd_iterations:.3f} "
                     f"trials={cell.trials}\n"
                 )

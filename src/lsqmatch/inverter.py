@@ -13,6 +13,7 @@ recentres the spectrum of V_{t+1} A on 1.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -90,38 +91,25 @@ def invert(a, cfg: InversionConfig | None = None, self_scaled=False) -> Inversio
 
     The caller rescales ``a`` so its spectrum lies in (0, 2).  ``a`` is
     validated by :func:`symmetrize` and then only read; an exactly symmetric
-    input is not copied.  Each call allocates V and two n x n work buffers,
-    P and W, once; an iteration allocates no n x n array.  P receives V A.
-    The diagonal of U, ``2.0 - P`` on the strided view
-    ``P.reshape(-1)[::n + 1]``, is kept in an n-vector; ``0.0 - P`` in place
-    gives U off the diagonal (it keeps +0.0 exactly as ``2I - P`` does).  The
-    diagonal of P then holds U - I, so P holds the residual R = I - V A; W
-    takes |R|, whose max is the residual max|I - V_t A|, and the diagonal is
-    set back to U's.  W then receives U V and trades places with V.  The
-    first update makes no product: V0 A is A, copied into P, and U0 V0 is
-    U0, which P hands over as V1.  Every entry goes through the same
-    floating-point operations as ``2.0 * eye - v @ a``, so the plain run's
-    iterates and residuals are bit-identical to that formulation.
+    input is not copied.  V and two n x n work buffers are allocated once per
+    call, so an update allocates no n x n array, and the first update makes
+    no product, since V0 A is A and U0 V0 is U0.  Every entry goes through
+    the same floating-point operations as ``2.0 * eye - v @ a``, so the plain
+    run's iterates and residuals are bit-identical to that formulation.
 
     With ``self_scaled`` each update also scales U in place by one gain
     beta = 2 / (2 - rho^2) before the U V product, which centres the
     spectrum of V_{t+1} A on 1 again: the spectral residual then falls as
     rho <- rho^2 / (2 - rho^2) instead of rho <- rho^2.  rho is a lower
     estimate of ||R||_2, the larger of the residual and ||R x||_2 for a unit
-    vector x that ``POWER_STEPS`` matrix-vector power steps on P refresh
-    each update and that carries over to the next.  Any estimate in [0, 1)
-    keeps the spectrum in (0, 2), and one at or below ||R||_2 never
-    contracts worse than the plain update.  A residual at or above 1 gets
-    no gain, so the stall and divergence rules read as in the plain run.
+    vector x that ``POWER_STEPS`` matrix-vector power steps on R = I - V A
+    refresh each update and that carries over to the next.  Any estimate in
+    [0, 1) keeps the spectrum in (0, 2), and one at or below ||R||_2 never
+    contracts worse than the plain update.  A residual at or above 1 gets no
+    gain, so the stall and divergence rules read as in the plain run.
 
-    The report's ``status`` is CONVERGED when the residual drops below
-    ``cfg.epsilon`` (the t = 0 test checks I - A itself), HIT_CAP after
-    ``cfg.max_iterations`` updates, and, once the residual is at least 1 and
-    has not dropped for three updates in a row, DIVERGED if it rose strictly
-    above 1 in each of them, else STALLED.  A residual at or above 1 means A
-    has an eigenvalue outside (0, 2), for example a single-column Gram matrix
-    under the trace scale factor, whose rescaled eigenvalue is exactly 2.
-    A non-finite residual raises :class:`DivergenceError`.
+    :func:`_stop_status` decides from the residual history when the run
+    stops and why.
     """
     if cfg is None:
         cfg = InversionConfig()
@@ -136,31 +124,19 @@ def invert(a, cfg: InversionConfig | None = None, self_scaled=False) -> Inversio
     x = np.full(n, 1.0 / math.sqrt(n))
     y = np.empty(n)
     history = []
-    flat = grow = 0
-    prev = np.inf
-    for t in range(max_iter + 1):
+    for t in itertools.count():
         if t:
             np.dot(v, a, out=p)
+        # P becomes the residual R = I - V A, with U's diagonal kept aside;
+        # 0.0 - P keeps +0.0 off the diagonal exactly as 2I - P does.
         np.subtract(2.0, p_diag, out=u_diag)
         np.subtract(0.0, p, out=p)
         np.subtract(u_diag, 1.0, out=p_diag)
         r = np.abs(p, out=w).max()
         history.append(r)
-        if not np.isfinite(r):
-            raise DivergenceError(t)
-        if r < eps:
-            return InversionReport(v, t, np.array(history), InversionStatus.CONVERGED)
-        if t == max_iter:
-            return InversionReport(v, t, np.array(history), InversionStatus.HIT_CAP)
-        if r >= 1.0 and r >= prev:
-            flat += 1
-            grow = grow + 1 if r > 1.0 and r > prev else 0
-            if flat >= 3:
-                status = InversionStatus.DIVERGED if grow >= 3 else InversionStatus.STALLED
-                return InversionReport(v, t, np.array(history), status)
-        else:
-            flat = grow = 0
-        prev = r
+        status = _stop_status(history, eps, max_iter)
+        if status is not None:
+            return InversionReport(v, t, np.array(history), status)
         gain = _gain(p, r, x, y) if self_scaled and r < 1.0 else 1.0
         p_diag[:] = u_diag
         if gain != 1.0:
@@ -171,6 +147,32 @@ def invert(a, cfg: InversionConfig | None = None, self_scaled=False) -> Inversio
         else:
             v, p = p, v
             p_diag = p.reshape(-1)[:: n + 1]
+
+
+def _stop_status(history, eps, max_iter) -> InversionStatus | None:
+    """Why the run stops after the residuals ``history``, or None to go on.
+
+    ``history[t]`` is max|I - V_t A|.  The status is CONVERGED when the last
+    residual is below ``eps`` (at t = 0 that tests I - A itself), HIT_CAP
+    after ``max_iter`` updates, and, once the residual is at least 1 and has
+    not dropped for three updates in a row, DIVERGED if it rose strictly
+    above 1 in each of them, else STALLED.  A residual at or above 1 means A
+    has an eigenvalue outside (0, 2), for example a single-column Gram matrix
+    under the trace scale factor, whose rescaled eigenvalue is exactly 2.  A
+    non-finite last residual raises :class:`DivergenceError`.
+    """
+    h = history[-4:]
+    if not math.isfinite(h[-1]):
+        raise DivergenceError(len(history) - 1)
+    if h[-1] < eps:
+        return InversionStatus.CONVERGED
+    if len(history) > max_iter:
+        return InversionStatus.HIT_CAP
+    if len(h) == 4 and 1.0 <= h[1] and h[0] <= h[1] <= h[2] <= h[3]:
+        if 1.0 < h[1] and h[0] < h[1] < h[2] < h[3]:
+            return InversionStatus.DIVERGED
+        return InversionStatus.STALLED
+    return None
 
 
 def _gain(r_buf, r, x, y):

@@ -59,7 +59,8 @@ def symmetrize(a) -> np.ndarray:
     bits = out.view(np.int64)
     if np.array_equal(bits, bits.T):
         return out
-    gap = float(np.abs(out - out.T).max())
+    with np.errstate(over="ignore"):  # an overflowed gap is inf, and rejected
+        gap = float(np.abs(out - out.T).max())
     if gap > SYMMETRY_TOL:
         raise ValueError(
             f"matrix is not symmetric: max|a_ij - a_ji| = {gap:.3e} > {SYMMETRY_TOL:.1e}"

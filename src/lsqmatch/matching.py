@@ -133,7 +133,7 @@ def solve_transform(x, m, config: PipelineConfig | None = None) -> MatchResult:
     # is singular unless alpha1 put a one-column Z, the eigenvalue z[0, 0], at 2.
     if report.status is InversionStatus.STALLED and x.shape[1] == 1:
         raise InversionStalledError(
-            f"inversion stalled under scale factor {config.scale_kind.token}: "
+            f"inversion stalled under scale factor {config.scale_kind.value}: "
             f"residual {report.final_residual:.3e} did not drop below 1 in "
             f"{report.iterations} iterations; the largest eigenvalue of "
             f"alpha * X'X is {alpha * z[0, 0]:.6g}, not below 2"

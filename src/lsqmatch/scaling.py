@@ -23,17 +23,6 @@ class ScaleFactorKind(enum.Enum):
     TRACE = "alpha1"
     GERSHGORIN = "alpha2"
 
-    @classmethod
-    def from_token(cls, token: str) -> "ScaleFactorKind":
-        for kind in cls:
-            if kind.value == token:
-                return kind
-        raise ValueError(f"unknown scale factor token {token!r}")
-
-    @property
-    def token(self) -> str:
-        return self.value
-
 
 def alpha_optimal_bounds(lam_min: float, lam_max: float) -> float:
     """Optimal factor 2/(lam_max + lam_min) from known extreme eigenvalues."""

@@ -144,7 +144,7 @@ def test_criterion_04_size_grid_spot_cells():
             counts.append(report.iterations)
         mean = sum(counts) / len(counts)
         assert abs(mean - target) <= tol, (
-            f"cell n={n} m={m} alpha={kind.token}: mean {mean} not in {target}+-{tol}"
+            f"cell n={n} m={m} alpha={kind.value}: mean {mean} not in {target}+-{tol}"
         )
 
 

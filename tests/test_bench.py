@@ -252,7 +252,9 @@ def test_csv_parse_errors():
         bench.RECORDS.parse_csv(good[: good.rindex("true")] + "yes,7\n")
     with pytest.raises(ValueError, match="data row 1, column 'n'"):
         bench.RECORDS.parse_csv(good.replace("mt,16,", "mt,sixteen,", 1))
-    with pytest.raises(ValueError, match="data row 1, column 'alpha'"):
+    with pytest.raises(
+        ValueError, match="data row 1, column 'alpha': 'alpha9' is not a valid ScaleFactorKind"
+    ):
         bench.RECORDS.parse_csv(good.replace("alpha0", "alpha9", 1))
     with pytest.raises(ValueError, match="data row 1: unknown family token 'xx'"):
         bench.RECORDS.parse_csv(good.replace("mt,", "xx,", 1))

@@ -1,9 +1,11 @@
 """Tests of the recurrence loop in ``inverter.invert``: its iterates, stop statuses and memory.
 
 ``test_newton_schulz_bit_identical_to_reference`` pins the in-place loop to
-the recurrence written plainly, bit for bit.
+the recurrence written plainly, bit for bit.  The stop law, a function of the
+residual history, is also driven directly with synthetic histories.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,14 +18,17 @@ from lsqmatch.inverter import (
     DivergenceError,
     InversionConfig,
     InversionStatus,
+    _stop_status,
     invert,
     iteration_bound,
 )
 from lsqmatch.scaling import (
+    ScaleFactorKind,
     alpha_gershgorin_value,
     alpha_optimal_bounds,
     alpha_trace_value,
     rescale,
+    scale_factor,
 )
 
 
@@ -63,34 +68,49 @@ def test_stalled_status():
     assert list(rep.residual_history) == [1.0, 1.0, 1.0, 1.0]
 
 
+def _counter_stop(history, eps, max_iter):
+    """The stop rule in the counter form the loop once carried, run over ``history``.
+
+    ``flat`` counts the updates in a row whose residual is at least 1 and no
+    lower than the one before, ``grow`` those of them that also rose strictly
+    above 1.  Returns the stop index and status, or None when the run goes on;
+    a non-finite residual raises :class:`DivergenceError`.
+    """
+    flat = grow = 0
+    prev = math.inf
+    for t, r in enumerate(history):
+        if not math.isfinite(r):
+            raise DivergenceError(t)
+        if r < eps:
+            return t, InversionStatus.CONVERGED
+        if t == max_iter:
+            return t, InversionStatus.HIT_CAP
+        if r >= 1.0 and r >= prev:
+            flat += 1
+            grow = grow + 1 if r > 1.0 and r > prev else 0
+            if flat >= 3:
+                return t, InversionStatus.DIVERGED if grow >= 3 else InversionStatus.STALLED
+        else:
+            flat = grow = 0
+        prev = r
+    return None
+
+
 def _reference_newton_schulz(a, eps, max_iter):
     """The recurrence written plainly, with a fresh array for every operation.
 
-    It keeps every stop rule but the stall rule; no oracle case stalls.
+    It stops by :func:`_counter_stop`, the counter form of the stop rule.
     """
     n = a.shape[0]
     eye = np.eye(n)
     v = np.eye(n)
     history = []
-    grow = 0
-    prev = np.inf
-    for t in range(max_iter + 1):
+    while True:
         u = 2.0 * eye - v @ a
-        r = np.abs(u - eye).max()
-        history.append(r)
-        if not np.isfinite(r):
-            raise DivergenceError(t)
-        if r < eps:
-            return v, np.array(history), t, InversionStatus.CONVERGED
-        if t == max_iter:
-            return v, np.array(history), t, InversionStatus.HIT_CAP
-        if r > 1.0 and r > prev:
-            grow += 1
-            if grow >= 3:
-                return v, np.array(history), t, InversionStatus.DIVERGED
-        else:
-            grow = 0
-        prev = r
+        history.append(np.abs(u - eye).max())
+        stop = _counter_stop(history, eps, max_iter)
+        if stop is not None:
+            return v, np.array(history), *stop
         v = u @ v
 
 
@@ -113,6 +133,15 @@ def _oracle_cases():
     _, z = more_toraldo(MoreToraldoSpec(32, 2.0**10), 7)
     yield pytest.param(rescale(z, alpha_trace_value(z)), 1e-300, 4, id="hit-cap")
     yield pytest.param(3.0 * np.eye(4), 1e-6, 200, id="diverged")
+    yield pytest.param(np.array([[2.0]]), 1e-6, 200, id="stalled")
+    # A rank-deficient Gram matrix: the residual climbs back to 1 and stops
+    # there (STALLED) or climbs strictly above it (DIVERGED) after 50-odd updates.
+    x = uniform_pattern(12, 2, 7)
+    z = np.c_[x, x[:, :1]].T @ np.c_[x, x[:, :1]]
+    for kind in ScaleFactorKind:
+        yield pytest.param(
+            rescale(z, scale_factor(z, kind)), 1e-6, 200, id=f"singular-{kind.value}"
+        )
     yield pytest.param(1e200 * np.eye(2), 1e-6, 200, id="nonfinite-inf")
     # V_2 overflows to -inf, and -inf * 0 gives NaN in U_2.
     yield pytest.param(np.diag([1e120, 0.5]), 1e-6, 200, id="nonfinite-nan")
@@ -217,3 +246,86 @@ def test_newton_schulz_peak_memory():
         assert rep.status is InversionStatus.CONVERGED
         assert rep.iterations >= 10
         assert peak <= 3.25 * n * n * 8
+
+
+# (name, history, max_iter, status) at eps = 1e-6; the run stops at the last entry.
+_STOP_TABLE = [
+    ("converged-at-start", [1e-7], 200, InversionStatus.CONVERGED),
+    ("converged", [0.5, 0.25, 0.0625, 0.0039, 1.5e-05, 2.3e-10], 200, InversionStatus.CONVERGED),
+    ("cap", [0.5, 0.25, 0.0625], 2, InversionStatus.HIT_CAP),
+    ("cap-over-stall", [1.0, 1.0, 1.0, 1.0], 3, InversionStatus.HIT_CAP),
+    ("flat-at-one", [1.0, 1.0, 1.0, 1.0], 200, InversionStatus.STALLED),
+    ("up-to-one-then-flat", [0.5, 1.0, 1.0, 1.0], 200, InversionStatus.STALLED),
+    ("strict-rise", [2.0, 4.0, 16.0, 256.0], 200, InversionStatus.DIVERGED),
+    ("rise-rise-tie", [1.5, 2.0, 3.0, 3.0], 200, InversionStatus.STALLED),
+    ("tie-rise-rise", [2.0, 1.0, 1.0, 1.5, 2.0], 200, InversionStatus.STALLED),
+    ("rise-from-below-one", [0.5, 1.5, 2.0, 3.0], 200, InversionStatus.DIVERGED),
+    # The first of the three rises ends at 1, not strictly above it.
+    ("rise-through-one", [0.5, 1.0, 2.0, 3.0], 200, InversionStatus.STALLED),
+    ("drop-restarts-count", [1.0, 1.0, 1.0, 0.75, 1.0, 1.0, 1.0], 200, InversionStatus.STALLED),
+    # A plateau below 1 never stops before the cap, however long it lasts.
+    ("plateau-below-one", [0.5] * 12, 200, None),
+    ("too-short-to-stall", [1.0, 1.0, 1.0], 200, None),
+]
+
+
+@pytest.mark.parametrize(
+    "history, max_iter, status",
+    [pytest.param(*row[1:], id=row[0]) for row in _STOP_TABLE],
+)
+def test_stop_status_decision_table(history, max_iter, status):
+    for t in range(1, len(history)):
+        assert _stop_status(history[:t], 1e-6, max_iter) is None
+    assert _stop_status(history, 1e-6, max_iter) is status
+
+
+@pytest.mark.parametrize(
+    "history, index",
+    [([0.5, 0.75, math.nan], 2), ([math.inf], 0), ([1.0, 1.0, math.inf], 2)],
+    ids=["nan", "inf-at-start", "inf-after-flat"],
+)
+def test_stop_status_raises_on_nonfinite(history, index):
+    with pytest.raises(DivergenceError) as caught:
+        _stop_status(history, 1e-6, 200)
+    assert caught.value.iteration == index
+
+
+def _first_stop(history, eps, max_iter):
+    """The first stop :func:`_stop_status` calls on the prefixes of ``history``, or None."""
+    for t in range(len(history)):
+        status = _stop_status(history[: t + 1], eps, max_iter)
+        if status is not None:
+            return t, status
+    return None
+
+
+def _outcome(stop, history, eps, max_iter):
+    """What ``stop`` does with the history: its first stop, or the raising index."""
+    try:
+        return stop(history, eps, max_iter)
+    except DivergenceError as err:
+        return err.iteration, DivergenceError
+
+
+def test_stop_status_matches_counter_rule():
+    # Half the histories draw from values that tie with 1 and with each other:
+    # the neighbours of 1, the non-finite values and ones below eps; the rest
+    # are uniform, some rounded to tie.
+    count, longest = 100_000, 15
+    rng = np.random.default_rng(19)
+    finite = [0.0, 1e-7, 0.5, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 1.5, 2.0, 3.0]
+    weights = np.r_[np.ones(len(finite)), 0.05, 0.05]
+    drawn = rng.choice(finite + [math.inf, math.nan], (count, longest), p=weights / weights.sum())
+    uniform = rng.uniform(0.0, 3.0, (count, longest))
+    uniform[::2] = uniform[::2].round(1)
+    rows = np.where(rng.random((count, 1)) < 0.5, drawn, uniform).tolist()
+    lengths = rng.integers(1, longest + 1, count).tolist()
+    epsilons = rng.choice([1e-6, 0.25], count).tolist()
+    caps = rng.integers(1, 15, count).tolist()
+    seen = set()
+    for row, length, eps, max_iter in zip(rows, lengths, epsilons, caps):
+        history = row[:length]
+        want = _outcome(_counter_stop, history, eps, max_iter)
+        assert _outcome(_first_stop, history, eps, max_iter) == want, (history, eps, max_iter)
+        seen.add(want and want[1])
+    assert seen == {*InversionStatus, DivergenceError, None}

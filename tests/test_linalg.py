@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -42,6 +42,9 @@ def test_symmetrize_accepts_roundoff_asymmetry():
 def test_symmetrize_rejects_asymmetric():
     with pytest.raises(ValueError, match="not symmetric"):
         la.symmetrize(np.array([[1.0, 2.0], [2.1, 3.0]]))
+    # The gap 2e308 overflows; it is inf, still a rejection and no warning.
+    with pytest.raises(ValueError, match="= inf > "):
+        la.symmetrize([[0.0, 1e308], [-1e308, 0.0]])
     with pytest.raises(ValueError):
         la.symmetrize(np.ones((2, 3)))
 
@@ -160,6 +163,78 @@ def _assert_extremes(z, low, high):
     assert abs(got_high - high) <= bound
 
 
+def _assert_near_numpy(z, low, high):
+    """``(low, high)`` lie within 4 n u max|lambda| of the ends of z's spectrum.
+
+    Three numpy oracles are tried in turn, each only after the one before
+    missed; a ``LinAlgError`` counts as a miss.  The symmetric solver
+    (``eigvalsh``) can be wrong in the fifth digit on graded matrices that
+    mix O(1) entries with entries near 1e-160, whose squares are subnormal;
+    the general one (``eigvals``) is right there, but for small n its own
+    error can exceed 4 n u, and either may fail to converge.  The last is
+    ``eigvalsh`` of z with its entries below u max|z| set to zero.  That
+    moves each eigenvalue by at most n u max|lambda|, so it is held to
+    3 n u, which keeps the bound against z's own spectrum at 4 n u.
+    """
+    n = z.shape[0]
+    graded = np.where(np.abs(z) < UNIT_ROUNDOFF * np.abs(z).max(), 0.0, z)
+    oracles = [
+        (4.0, lambda: np.linalg.eigvalsh(z)),
+        (4.0, lambda: np.sort(np.linalg.eigvals(z).real)),
+        (3.0, lambda: np.linalg.eigvalsh(graded)),
+    ]
+    misses = []
+    for factor, spectrum in oracles:
+        try:
+            w = spectrum()
+        except np.linalg.LinAlgError as exc:
+            misses.append(str(exc))
+            continue
+        tol = factor * n * UNIT_ROUNDOFF * max(abs(w[0]), abs(w[-1]))
+        if abs(low - w[0]) <= tol and abs(high - w[-1]) <= tol:
+            return
+        misses.append((low - w[0], high - w[-1], tol))
+    raise AssertionError(f"extremes ({low}, {high}) off every numpy oracle: {misses}")
+
+
+def _upper_entries(n, entries):
+    """An n x n matrix holding ``entries``, a map from (i, j) to the value there."""
+    a = np.zeros((n, n))
+    for (i, j), value in entries.items():
+        a[i, j] = value
+    return a
+
+
+#: (a, k) inputs on which numpy's general solver does not converge.  On the
+#: first two ``eigvalsh`` agrees; on the last it misses too, and only the graded
+#: oracle holds the closed form +-0.75 * 2^411.  Entries below the diagonal are
+#: dropped.
+_NUMPY_FAILURES = [
+    (
+        _upper_entries(
+            12, {(2, 8): -1.0, (2, 9): 3e-320, (3, 10): 5e-324, (7, 11): 1e-200, (8, 11): -0.75}
+        ),
+        547,
+    ),
+    (
+        _upper_entries(
+            22, {(1, 14): 1e-310, (3, 16): 5e-324, (6, 9): -0.75, (6, 16): -0.75, (18, 7): -1.0}
+        ),
+        205,
+    ),
+    (
+        _upper_entries(
+            23, {(0, 8): 1e-160, (0, 14): 5e-324, (1, 8): -0.75, (10, 7): 0.25, (19, 13): 1e-160}
+        ),
+        411,
+    ),
+]
+
+
+def _symmetric_from_upper(a, k):
+    return np.ldexp(np.triu(a) + np.triu(a, 1).T, k)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(1, 24).flatmap(
@@ -169,25 +244,24 @@ def _assert_extremes(z, low, high):
     ),
     st.integers(-600, 600),
 )
+@example(*_NUMPY_FAILURES[0])
+@example(*_NUMPY_FAILURES[1])
+@example(*_NUMPY_FAILURES[2])
 def test_extreme_eigenvalues_match_numpy(a, k):
-    """Random symmetric matrices at scales 2^-600 .. 2^600 against numpy.linalg.
+    """Random symmetric matrices at scales 2^-600 .. 2^600 against numpy.linalg."""
+    z = _symmetric_from_upper(a, k)
+    _assert_near_numpy(z, *la.extreme_eigenvalues(z))
 
-    Both ends must lie within 4 n u max|lambda| of one of numpy's two
-    independent eigensolvers.  The symmetric one (``eigvalsh``) can be wrong
-    in the fifth digit on graded matrices that mix O(1) entries with entries
-    near 1e-160, whose squares are subnormal; the general one (``eigvals``)
-    is right there, but for small n its own error can exceed 4 n u.
-    """
-    z = np.ldexp(np.triu(a) + np.triu(a, 1).T, k)
+
+@pytest.mark.parametrize("a, k", _NUMPY_FAILURES, ids=["n12", "n22", "n23"])
+def test_numpy_oracles_reject_a_moved_extreme(a, k):
+    # An end moved by 5 n u max|lambda| is off every oracle, the graded one too.
+    z = _symmetric_from_upper(a, k)
     low, high = la.extreme_eigenvalues(z)
-    bound = 4.0 * z.shape[0] * UNIT_ROUNDOFF
-    misses = []
-    for w in (np.linalg.eigvalsh(z), np.sort(np.linalg.eigvals(z).real)):
-        tol = bound * max(abs(w[0]), abs(w[-1]))
-        if abs(low - w[0]) <= tol and abs(high - w[-1]) <= tol:
-            return
-        misses.append((low - w[0], high - w[-1], tol))
-    raise AssertionError(f"extremes ({low}, {high}) off both numpy solvers: {misses}")
+    shift = 5.0 * z.shape[0] * UNIT_ROUNDOFF * max(abs(low), abs(high))
+    for moved in ((low - shift, high), (low, high + shift)):
+        with pytest.raises(AssertionError, match="off every numpy oracle"):
+            _assert_near_numpy(z, *moved)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 16, 32, 64])

@@ -220,7 +220,7 @@ EXTREME_X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 EXTREME_M = EXTREME_X @ np.array([[2.0, 1.0], [0.0, 3.0]])
 
 
-@pytest.mark.parametrize("kind", list(ScaleFactorKind), ids=lambda k: k.token)
+@pytest.mark.parametrize("kind", list(ScaleFactorKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
 def test_extreme_input_scale_solves(scale, kind):
     """Scaling X and M alike leaves T unchanged up to the rounding of the scaling."""
@@ -235,7 +235,7 @@ def test_extreme_input_scale_solves(scale, kind):
     assert np.isfinite(result.distance)
 
 
-@pytest.mark.parametrize("kind", list(ScaleFactorKind), ids=lambda k: k.token)
+@pytest.mark.parametrize("kind", list(ScaleFactorKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("log2_scale", [-700, -530, 500, 660])
 def test_power_of_two_input_scale_is_exact(log2_scale, kind):
     config = PipelineConfig(scale_kind=kind)

@@ -7,13 +7,13 @@ from lsqmatch.linalg import extreme_eigenvalues, gram
 
 
 def test_kind_tokens():
-    assert sc.ScaleFactorKind.OPTIMAL.token == "alpha0"
-    assert sc.ScaleFactorKind.TRACE.token == "alpha1"
-    assert sc.ScaleFactorKind.GERSHGORIN.token == "alpha2"
+    assert sc.ScaleFactorKind.OPTIMAL.value == "alpha0"
+    assert sc.ScaleFactorKind.TRACE.value == "alpha1"
+    assert sc.ScaleFactorKind.GERSHGORIN.value == "alpha2"
     for kind in sc.ScaleFactorKind:
-        assert sc.ScaleFactorKind.from_token(kind.token) is kind
-    with pytest.raises(ValueError, match="unknown scale factor token"):
-        sc.ScaleFactorKind.from_token("alpha9")
+        assert sc.ScaleFactorKind(kind.value) is kind
+    with pytest.raises(ValueError, match="'alpha9' is not a valid ScaleFactorKind"):
+        sc.ScaleFactorKind("alpha9")
 
 
 def test_optimal_simple_pair():
