@@ -8,13 +8,12 @@ matrices, predict iteration counts from the condition number, and run the
 reproducible benchmark suites behind the ``lsqmatch`` CLI.
 
 The package exports the end-to-end API; the building blocks are imported
-from their submodules (``lsqmatch.linalg``, ``lsqmatch.scaling``, ...).
+from their submodules (``lsqmatch.linalg``, ``lsqmatch.inverter``, ...).
 """
 
-from .inverter import DivergenceError, InversionConfig, InversionStatus, invert
+from .inverter import DivergenceError, InversionConfig, InversionStatus, ScaleFactorKind, invert
 from .matching import InversionStalledError, IterationCapError, MatchResult, PipelineConfig, SingularSystemError, solve_transform
 from .matio import load_matrix, save_matrix
-from .scaling import ScaleFactorKind
 
 __version__ = "0.1.0"
 

@@ -3,8 +3,8 @@
 Two matrix families are exercised: conditioned SPD matrices with a known
 spectrum (family token ``mt``) and Gram matrices of uniform random patterns
 (family token ``uniform``).  Both suites only build their cells; one trial
-loop scales, rescales and inverts each cell's matrix for each scale kind and
-records the result.  ``mt`` always runs all three kinds, ``table1`` the two
+loop scales and inverts each cell's matrix for each scale kind and records
+the result.  ``mt`` always runs all three kinds, ``table1`` the two
 that need no spectrum.  Iteration counts per scale factor follow simple
 empirical laws in log2(kappa) and log2(n); ``fit_laws`` measures deviations
 against those reference lines.
@@ -25,9 +25,8 @@ from typing import get_type_hints
 import numpy as np
 
 from .generate import MoreToraldoSpec, derive_seed, more_toraldo, uniform_pattern
-from .inverter import invert
+from .inverter import ScaleFactorKind, invert, scale_factor
 from .linalg import extreme_eigenvalues, gram
-from .scaling import ScaleFactorKind, rescale, scale_factor
 
 #: Conditioned-family default grid: three sizes crossed with four condition numbers.
 DEFAULT_MT_GRID = tuple((n, float(2**k)) for n in (16, 64, 256) for k in (6, 10, 14, 20))
@@ -118,7 +117,7 @@ def predicted_iterations(kind: ScaleFactorKind, n: int, kappa: float) -> float:
 
 
 def _run_trials(grid, build, kinds, trials_per_cell, seed) -> list[TrialRecord]:
-    """The one trial loop: for each cell, trial and kind, scale, rescale, invert.
+    """The one trial loop: for each cell, trial and kind, scale and invert.
 
     Trial t of cell i has seed ``derive_seed(seed, i * trials_per_cell + t)``,
     and ``build(cell, seed)`` gives its ``(family, n, m, kappa, extremes, z)``,
@@ -141,7 +140,7 @@ def _run_trials(grid, build, kinds, trials_per_cell, seed) -> list[TrialRecord]:
                 except ValueError:
                     iterations, converged = 0, False
                 else:
-                    report = invert(rescale(z, alpha))
+                    report = invert(z * alpha)
                     iterations, converged = report.iterations, report.converged
                 records.append(TrialRecord(*head, kind, iterations, converged, child))
     return records

@@ -11,10 +11,9 @@ import sys
 
 from . import bench
 from .generate import MoreToraldoSpec, more_toraldo, uniform_pattern
-from .inverter import InversionConfig
+from .inverter import InversionConfig, ScaleFactorKind
 from .matching import PipelineConfig, solve_transform
 from .matio import format_matrix, load_matrix, open_ascii, save_matrix
-from .scaling import ScaleFactorKind
 
 _ALPHA_TOKENS = [k.value for k in ScaleFactorKind]
 

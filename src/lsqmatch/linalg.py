@@ -7,8 +7,8 @@ the optimal scale factor and the benchmark's kappa use.
 Matrices are plain 2-D float64 numpy arrays.  ``as_matrix`` / ``symmetrize``
 are the validating constructors.  Input is validated once, where it enters
 the package (``solve_transform``, ``invert``, ``extreme_eigenvalues``, the
-matrix text format); ``gram``, the scale factors and ``rescale`` take trusted
-finite float64 arrays and check nothing.
+matrix text format); ``gram`` and the scale factors take trusted finite
+float64 arrays and check nothing.
 """
 
 from __future__ import annotations

@@ -13,9 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .inverter import InversionConfig, InversionReport, InversionStatus, invert
+from .inverter import (
+    InversionConfig,
+    InversionReport,
+    InversionStatus,
+    ScaleFactorKind,
+    invert,
+    scale_factor,
+)
 from .linalg import as_matrix, binary_exponent, gram
-from .scaling import ScaleFactorKind, rescale, scale_factor
 
 
 class SingularSystemError(RuntimeError):
@@ -119,18 +125,13 @@ def solve_transform(x, m, config: PipelineConfig | None = None) -> MatchResult:
     except ValueError as exc:
         raise SingularSystemError(f"singular system: {exc}") from exc
 
-    report = invert(rescale(z, alpha), config.inversion, self_scaled=True)
+    report = invert(z * alpha, config.inversion, self_scaled=True)
     if report.status is InversionStatus.HIT_CAP:
         raise IterationCapError(
             f"inversion hit the iteration cap of {report.iterations} iterations "
             f"(residual {report.final_residual:.3e})"
         )
-    # A stall means alpha * Z has an eigenvalue at 0 or at 2 or above.  With Z
-    # positive definite none reaches 2: alpha2 adds min z_ii > 0 to Gershgorin's
-    # row-sum bound on the top one; alpha1's trace exceeds it by the others, > 0
-    # when n >= 2; alpha0 centres the spectrum on 1.  Rounding lands on 2 for
-    # n >= 2 only if the others are below u times the top: singular.  So a stall
-    # is singular unless alpha1 put a one-column Z, the eigenvalue z[0, 0], at 2.
+    # A stall is singular unless alpha1 put a one-column Z at 2 (see scale_factor).
     if report.status is InversionStatus.STALLED and x.shape[1] == 1:
         raise InversionStalledError(
             f"inversion stalled under scale factor {config.scale_kind.value}: "

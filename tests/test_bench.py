@@ -7,7 +7,7 @@ import pytest
 
 import lsqmatch.bench as bench
 from lsqmatch.generate import derive_seed
-from lsqmatch.scaling import ScaleFactorKind
+from lsqmatch.inverter import ScaleFactorKind
 
 
 @pytest.fixture(scope="module")

@@ -10,10 +10,11 @@ from lsqmatch.inverter import (
     DivergenceError,
     InversionConfig,
     InversionStatus,
+    alpha_optimal_bounds,
+    alpha_trace_value,
     invert,
     iteration_bound,
 )
-from lsqmatch.scaling import alpha_optimal_bounds, alpha_trace_value, rescale
 
 
 def _rescaled_test_matrix(index):
@@ -25,7 +26,7 @@ def _rescaled_test_matrix(index):
     u = ((mix64(index + 100) >> 11) + 0.5) * 2.0**-53
     kappa = 2.0 + 18.0 * u
     _, z = more_toraldo(MoreToraldoSpec(int(n), kappa), derive_seed(9, index))
-    a = rescale(z, 2.0 / (1.0 + kappa))
+    a = z * (2.0 / (1.0 + kappa))
     return a, (kappa - 1.0) / (kappa + 1.0)
 
 
@@ -77,7 +78,7 @@ def test_scaled_identity_iterates():
 def test_conditioned_two_by_two_stops_at_four():
     """Contraction 1/3 needs (1/3)^16 < 1e-6 <= (1/3)^8, so the stop lands on t=4."""
     _, z = more_toraldo(MoreToraldoSpec(2, 2.0), 4242)
-    rep = invert(rescale(z, alpha_optimal_bounds(1.0, 2.0)))
+    rep = invert(z * alpha_optimal_bounds(1.0, 2.0))
     assert rep.converged
     assert rep.iterations == 4
 
@@ -157,7 +158,7 @@ def test_inverse_quality():
         kappa = 30.0
         _, z = more_toraldo(MoreToraldoSpec(n, kappa), derive_seed(33, index))
         alpha = alpha_optimal_bounds(1.0, kappa)
-        rep = invert(rescale(z, alpha))
+        rep = invert(z * alpha)
         assert rep.converged
         approx_inverse_times_z = (alpha * rep.inverse) @ z
         assert np.abs(approx_inverse_times_z - np.eye(n)).max() < 1e-6

@@ -18,16 +18,13 @@ from lsqmatch.inverter import (
     DivergenceError,
     InversionConfig,
     InversionStatus,
-    _stop_status,
-    invert,
-    iteration_bound,
-)
-from lsqmatch.scaling import (
     ScaleFactorKind,
+    _stop_status,
     alpha_gershgorin_value,
     alpha_optimal_bounds,
     alpha_trace_value,
-    rescale,
+    invert,
+    iteration_bound,
     scale_factor,
 )
 
@@ -118,7 +115,7 @@ def _oracle_cases():
     for n in (1, 2, 3, 32, 128, 256):
         x = uniform_pattern(4 * n, n, 1000 + n)
         z = x.T @ x
-        yield pytest.param(rescale(z, alpha_gershgorin_value(z)), 1e-6, 200, id=f"gram-n{n}")
+        yield pytest.param(z * alpha_gershgorin_value(z), 1e-6, 200, id=f"gram-n{n}")
         if n == 1:
             continue
         for kappa in (2.0**10, 2.0**20):
@@ -129,9 +126,9 @@ def _oracle_cases():
                 "alpha2": alpha_gershgorin_value(z),
             }
             for token, alpha in alphas.items():
-                yield pytest.param(rescale(z, alpha), 1e-6, 200, id=f"mt-n{n}-k{kappa:g}-{token}")
+                yield pytest.param(z * alpha, 1e-6, 200, id=f"mt-n{n}-k{kappa:g}-{token}")
     _, z = more_toraldo(MoreToraldoSpec(32, 2.0**10), 7)
-    yield pytest.param(rescale(z, alpha_trace_value(z)), 1e-300, 4, id="hit-cap")
+    yield pytest.param(z * alpha_trace_value(z), 1e-300, 4, id="hit-cap")
     yield pytest.param(3.0 * np.eye(4), 1e-6, 200, id="diverged")
     yield pytest.param(np.array([[2.0]]), 1e-6, 200, id="stalled")
     # A rank-deficient Gram matrix: the residual climbs back to 1 and stops
@@ -140,7 +137,7 @@ def _oracle_cases():
     z = np.c_[x, x[:, :1]].T @ np.c_[x, x[:, :1]]
     for kind in ScaleFactorKind:
         yield pytest.param(
-            rescale(z, scale_factor(z, kind)), 1e-6, 200, id=f"singular-{kind.value}"
+            z * scale_factor(z, kind), 1e-6, 200, id=f"singular-{kind.value}"
         )
     yield pytest.param(1e200 * np.eye(2), 1e-6, 200, id="nonfinite-inf")
     # V_2 overflows to -inf, and -inf * 0 gives NaN in U_2.
@@ -152,7 +149,7 @@ def _oracle_cases():
     yield pytest.param(signed, 1e-6, 200, id="negative-zeros")
     x = uniform_pattern(128, 32, 1032)
     z = x.T @ x
-    signed = rescale(z, alpha_gershgorin_value(z))
+    signed = z * alpha_gershgorin_value(z)
     signed[::3, 1::3] = -0.0
     signed[1::3, ::3] = -0.0
     yield pytest.param(signed, 1e-6, 200, id="negative-zeros-n32")
@@ -199,12 +196,21 @@ def test_self_scaled_never_slower_than_plain():
             alpha_trace_value(z),
             alpha_gershgorin_value(z),
         ):
-            a = rescale(z, alpha)
+            a = z * alpha
             rep = invert(a, self_scaled=True)
             assert rep.status is InversionStatus.CONVERGED
             assert rep.iterations <= invert(a).iterations
             eye = np.eye(32)
             assert np.abs(2.0 * eye - rep.inverse @ a - eye).max() == rep.final_residual < 1e-6
+
+
+def test_self_scaled_power_steps_stop_on_a_null_vector():
+    # The start vector (1, 1)/sqrt(2) is an eigenvector of A for eigenvalue 1,
+    # so R x = 0 at every update; the gain then rests on the residual alone.
+    a = np.array([[0.75, 0.25], [0.25, 0.75]])
+    rep = invert(a, self_scaled=True)
+    assert rep.status is InversionStatus.CONVERGED
+    assert rep.iterations == invert(a).iterations == 5
 
 
 @pytest.mark.parametrize("a", [3.0 * np.eye(4), np.array([[2.0]])], ids=["diverged", "stalled"])
@@ -217,7 +223,7 @@ def test_self_scaled_applies_no_gain_at_or_above_one(a):
 
 def test_invert_reads_a_read_only_input():
     _, z = more_toraldo(MoreToraldoSpec(16, 2.0**10), 12)
-    a = rescale(z, alpha_gershgorin_value(z))
+    a = z * alpha_gershgorin_value(z)
     assert a.tobytes() == a.T.copy().tobytes()  # so validation does not copy it
     kept = a.copy()
     a.setflags(write=False)
@@ -235,7 +241,7 @@ def test_newton_schulz_peak_memory():
     # validation neither copies the symmetric input nor keeps a temporary.
     n = 128
     _, z = more_toraldo(MoreToraldoSpec(n, 2.0**10), 11)
-    a = rescale(z, alpha_trace_value(z))
+    a = z * alpha_trace_value(z)
     for self_scaled in (False, True):
         tracemalloc.start()
         try:

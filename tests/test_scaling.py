@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import lsqmatch.scaling as sc
+import lsqmatch.inverter as sc
 from lsqmatch.generate import MoreToraldoSpec, more_toraldo, uniform_pattern
 from lsqmatch.linalg import extreme_eigenvalues, gram
 
@@ -40,6 +40,8 @@ def test_optimal_rejects_nonpositive():
         sc.alpha_optimal_bounds(0.0, 2.0)
     with pytest.raises(ValueError, match="not positive definite"):
         sc.alpha_optimal_bounds(-1.0, 2.0)
+    with pytest.raises(ValueError, match="at least lam_min"):
+        sc.alpha_optimal_bounds(2.0, 1.0)
 
 
 def test_optimal_from_decomposition():
@@ -85,16 +87,6 @@ def test_scale_factor_dispatch():
         sc.scale_factor(np.zeros((3, 3)), sc.ScaleFactorKind.OPTIMAL)
 
 
-def test_rescale():
-    assert np.array_equal(sc.rescale(np.eye(2), 2.0), 2.0 * np.eye(2))
-    out = sc.rescale(np.array([[1.0, 1.0], [1.0, 2.0]]), 0.5)
-    assert np.array_equal(out, np.array([[0.5, 0.5], [0.5, 1.0]]))
-    with pytest.raises(ValueError, match="positive"):
-        sc.rescale(np.eye(2), 0.0)
-    with pytest.raises(ValueError, match="positive"):
-        sc.rescale(np.eye(2), -1.0)
-
-
 def _spd_samples():
     samples = []
     for i, n in enumerate((2, 3, 8, 16)):
@@ -131,7 +123,7 @@ def test_rescaled_spectrum_in_region():
             sc.alpha_gershgorin_value(z),
         ]
         for alpha in alphas:
-            a = sc.rescale(z, alpha)
+            a = z * alpha
             wa = np.linalg.eigvalsh(a)
             assert wa[0] > 0.0
             assert wa[-1] < 2.0
