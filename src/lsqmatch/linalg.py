@@ -119,34 +119,25 @@ def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.diag(a).copy(), e
 
 
-def _sturm_counts(d: np.ndarray, e2: np.ndarray, pivmin: float, shifts: np.ndarray) -> np.ndarray:
+def _sturm_counts(d: np.ndarray, e2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Number of eigenvalues of the tridiagonal (d, e**2) below each shift.
 
-    Counts the negative pivots q_i = (d_i - shift) - e2_{i-1} / q_{i-1} of the
-    LDL' factorization of T - shift I, for all shifts at once in one n x S
-    array.  LAPACK's dstebz floors a pivot in (-pivmin, pivmin) to -pivmin, so
-    the next quotient cannot overflow.  That changes no other pivot, so the
-    pass runs unfloored; if it made such a pivot, the first row holding one is
-    floored and the rows below are recomputed from d - shift, now flooring
-    each row as it comes.  A zero e (a split tridiagonal) needs no special case.
+    Counts the clear sign bits of p_i = (shift - d_i) - e2_{i-1} / p_{i-1},
+    the negated LDL' pivots of T - shift I (bit for bit, as IEEE arithmetic
+    is exact under a sign flip), for all shifts at once in one n x S array.
+    No pivot is floored as in LAPACK's dstebz: under IEEE infinities a zero
+    pivot is +0.0 (no shift is -0.0) and counts as dstebz's floored one, and
+    the -inf after it has the sign of dstebz's huge pivot (Demmel, Dhillon &
+    Ren, ETNA 3, 1995).  A row under a zero e2 takes no quotient: no 0/0.
     """
-    q = d[:, None] - shifts
-    rows, e2, quotient, start = list(q), e2.tolist(), np.empty_like(shifts), 1
-    floor_each_row = False
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        while True:
-            for e2_above, above, row in zip(e2[start - 1 :], rows[start - 1 :], rows[start:]):
+    p = shifts - d[:, None]
+    rows, quotient = list(p), np.empty_like(shifts)
+    with np.errstate(divide="ignore", over="ignore"):
+        for e2_above, above, row in zip(e2.tolist(), rows, rows[1:]):
+            if e2_above:
                 np.divide(e2_above, above, out=quotient)
                 np.subtract(row, quotient, out=row)
-                if floor_each_row:
-                    np.copyto(row, -pivmin, where=np.abs(row) < pivmin)
-            tiny = np.abs(q) < pivmin
-            if not tiny.any():
-                return (q < 0.0).sum(axis=0)
-            start = int(tiny.any(axis=1).argmax()) + 1
-            q[start - 1, tiny[start - 1]] = -pivmin
-            q[start:] = d[start:, None] - shifts
-            floor_each_row = True
+    return (~np.signbit(p)).sum(axis=0)
 
 
 def extreme_eigenvalues(z) -> tuple[float, float]:
@@ -160,6 +151,8 @@ def extreme_eigenvalues(z) -> tuple[float, float]:
     LAPACK's dstebz).  Indefinite matrices are fine.  The symmetry check of
     :func:`symmetrize` is made after scaling ``z`` to max|z| in [0.5, 1), so
     it is relative to that largest entry and does not depend on the scale.
+    After that scale the Gershgorin bound is near 0.5 or above (it bounds the
+    2-norm), so dstebz's pivot-floor terms would change no bit of the bracket.
     """
     # A power-of-two scale keeps max|a| in [0.5, 1) and is undone exactly; it
     # comes first, so that neither symmetrizing nor the reduction can overflow.
@@ -173,13 +166,12 @@ def extreme_eigenvalues(z) -> tuple[float, float]:
     d, e = _tridiagonalize(s)
     e2 = e * e
     eps = np.finfo(np.float64).eps
-    pivmin = np.finfo(np.float64).tiny * max(1.0, float(e2.max(initial=0.0)))
     abs_e = np.abs(e)
     radius = np.r_[0.0, abs_e] + np.r_[abs_e, 0.0]
     lo, hi = float((d - radius).min()), float((d + radius).max())
     tnorm = max(abs(lo), abs(hi))
-    pad = 2.0 * n * eps * tnorm + 4.0 * pivmin
-    floor = max(0.5 * eps * tnorm, pivmin)
+    pad = 2.0 * n * eps * tnorm
+    floor = 0.5 * eps * tnorm
     # Rows: the bracket holding the smallest eigenvalue, then the largest.
     # The low end of a bracket has fewer than ``target`` eigenvalues below it,
     # the high end at least ``target``.
@@ -193,7 +185,7 @@ def extreme_eigenvalues(z) -> tuple[float, float]:
         if np.all(width <= tol):
             break
         shifts = lows[:, None] + width[:, None] * steps
-        below = _sturm_counts(d, e2, pivmin, shifts.ravel()).reshape(shifts.shape) < target
+        below = _sturm_counts(d, e2, shifts.ravel()).reshape(shifts.shape) < target
         k = below.sum(axis=1)
         for row in range(2):
             if k[row]:

@@ -51,6 +51,10 @@ class PipelineConfig:
     scale_kind: ScaleFactorKind = ScaleFactorKind.GERSHGORIN
     inversion: InversionConfig = field(default_factory=InversionConfig)
 
+    def __post_init__(self):
+        if not isinstance(self.scale_kind, ScaleFactorKind):
+            raise ValueError(f"scale_kind must be a ScaleFactorKind, got {self.scale_kind!r}")
+
 
 @dataclass
 class MatchResult:

@@ -311,6 +311,10 @@ def test_extreme_eigenvalues_structured():
         np.array([[1e308]]),
         np.diag([1e308, 1.0]),
         1e6 * bcb,
+        # Shifts that equal diagonal entries exactly, at n = 256.
+        np.eye(256),
+        np.diag(np.repeat([2.0, 5.0], 128)),
+        np.kron(np.eye(128), np.array([[2.0, 1.0], [1.0, 2.0]])),
     ]
     for z in cases:
         w = np.linalg.eigvalsh(z)
@@ -334,13 +338,16 @@ def _scalar_sturm_count(d, e2, pivmin, shift):
     return count, floored
 
 
-def test_sturm_counts_floor_and_restart():
-    """The batched pass equals the scalar recurrence where pivots hit the floor.
+def test_sturm_counts_where_dstebz_floors():
+    """The unfloored pass counts correctly where dstebz's scalar recurrence floors.
 
     Shifts equal to diagonal entries give pivots of exactly 0, shifts of
     +-pivmin/2 beside a zero diagonal entry give pivots strictly inside
     (-pivmin, pivmin), and zero off-diagonals (a split tridiagonal) put such
-    pivots below the first row, so the pass floors a row and resumes below it.
+    pivots below the first row.  Where the reference floors no pivot the
+    counts are equal; everywhere they are within rounding of the spectrum and
+    never fall as the shift grows.  A floored count can be off: in the fourth
+    case the reference counts 3 eigenvalues below 0.5, where there are 2.
     """
     tiny = np.finfo(np.float64).tiny
     rng = np.random.default_rng(11)
@@ -360,35 +367,43 @@ def test_sturm_counts_floor_and_restart():
         reference = [
             _scalar_sturm_count(d.tolist(), e2.tolist(), pivmin, s) for s in shifts.tolist()
         ]
-        counts = la._sturm_counts(d, e2, pivmin, shifts)
-        assert counts.tolist() == [count for count, _ in reference], (d, e)
+        counts = la._sturm_counts(d, e2, shifts)
+        for count, (expected, pivots) in zip(counts.tolist(), reference):
+            assert pivots or count == expected, (d, e)
+        lam = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        delta = d.size * UNIT_ROUNDOFF * np.abs(lam).max() + 4.0 * pivmin
+        assert np.all((lam < shifts[:, None] - delta).sum(axis=1) <= counts), (d, e)
+        assert np.all(counts <= (lam <= shifts[:, None] + delta).sum(axis=1)), (d, e)
+        signed = ~((shifts == 0.0) & np.signbit(shifts))
+        order = np.argsort(shifts[signed], kind="stable")
+        assert np.all(np.diff(counts[signed][order]) >= 0), (d, e)
         floored.update(pivot for _, pivots in reference for pivot in pivots)
     # Zero and nonzero pivots were floored, in the first row and below it.
     assert {(0, False), (0, True), (2, False), (2, True)} <= floored
 
 
-def test_sturm_restart_recomputes_each_row_at_most_twice(monkeypatch):
-    """A pass that restarts floors the rows below as it goes, so it ends there.
+def test_sturm_counts_divide_once_per_nonzero_e2(monkeypatch):
+    """One ``np.divide`` per nonzero e2 entry and call, so none on the identity.
 
-    The identity puts an exact zero pivot in every row at a shift equal to
-    its diagonal; restarting once per such row would make a call quadratic in
-    n.  Each row below the first costs one ``np.divide`` call per pass.
+    A row under a zero off-diagonal takes no quotient, so the identity, whose
+    tridiagonal has a zero off-diagonal, costs no division at all.
     """
-    n, divisions, calls = 64, [], []
-    divide, sturm_counts = np.divide, la._sturm_counts
+    divisions = []
+    divide = np.divide
 
     def counting_divide(*args, **kwargs):
         divisions.append(None)
         return divide(*args, **kwargs)
 
-    def counting_sturm_counts(*args):
-        calls.append(None)
-        return sturm_counts(*args)
-
     monkeypatch.setattr(np, "divide", counting_divide)
-    monkeypatch.setattr(la, "_sturm_counts", counting_sturm_counts)
-    assert la.extreme_eigenvalues(np.eye(n)) == (1.0, 1.0)
-    assert (n - 1) * len(calls) < len(divisions) <= 2 * (n - 1) * len(calls)
+    shifts = np.linspace(-2.0, 2.0, 9)
+    for e in (np.array([0.75, 0.0, 0.5, 0.0, 0.25]), np.zeros(5), np.full(5, 0.5)):
+        divisions.clear()
+        la._sturm_counts(np.linspace(-1.0, 1.0, 6), e * e, shifts)
+        assert len(divisions) == np.count_nonzero(e)
+    divisions.clear()
+    assert la.extreme_eigenvalues(np.eye(64)) == (1.0, 1.0)
+    assert divisions == []
 
 
 def test_extreme_eigenvalues_rejects_asymmetric():

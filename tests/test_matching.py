@@ -176,6 +176,13 @@ def test_singular_system_rejected():
         solve_transform(x, m, PipelineConfig(scale_kind=ScaleFactorKind.OPTIMAL))
 
 
+@pytest.mark.parametrize("kind", ["alpha1", "alpha9", None, 1])
+def test_pipeline_config_rejects_a_scale_kind_that_is_not_a_member(kind):
+    # A token is not a kind: "alpha1" would otherwise run the optimal factor.
+    with pytest.raises(ValueError, match=f"got {kind!r}"):
+        PipelineConfig(scale_kind=kind)
+
+
 def test_single_column_trace_scale_stalls():
     # alpha1 = 2 / trace puts the only eigenvalue of alpha * X'X at exactly 2.
     x = np.array([[1.0], [2.0], [3.0]])
