@@ -21,6 +21,8 @@ GOLDEN = 0x9E3779B97F4A7C15
 
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
+#: Values ``SplitMix64.take`` mixes per step; its scratch is one block, not the whole draw.
+BLOCK = 1 << 16
 
 
 def mix64(value: int) -> int:
@@ -50,27 +52,31 @@ class SplitMix64:
     def take(self, count: int) -> np.ndarray:
         """Next ``count`` uniform values in [-1 + 2^-53, 1].
 
-        The state sequence is affine (state_k = seed + k * GOLDEN mod 2^64),
-        so the batch is mixed in place in one uint64 buffer (the output is the
-        scratch); value k is (j + 1/2) * 2^-52 - 1 for j = mix64(state_k) >> 11,
+        The state sequence is affine (state_k = seed + k * GOLDEN mod 2^64), so
+        each ``BLOCK`` of states is one ``np.arange``, mixed in place with the
+        block's slice of the output as scratch: a draw holds one output-sized
+        buffer.  Value k is (j + 1/2) * 2^-52 - 1 for j = mix64(state_k) >> 11,
         exact for j < 2^52.  For j >= 2^52, j + 1/2 rounds to even, so the upper
         half lies on the 2^-51 grid of [0, 1] and can be exactly 0.0 or 1.0.
         """
         if count < 1:
             raise ValueError(f"count must be at least 1, got {count}")
-        z = np.arange(1, count + 1, dtype=np.uint64)
-        z *= np.uint64(GOLDEN)
-        z += np.uint64(self._state)
-        self._state = (self._state + count * GOLDEN) & MASK
         out = np.empty(count)
-        scratch = out.view(np.uint64)
-        z ^= np.right_shift(z, np.uint64(30), out=scratch)
-        z *= np.uint64(_MIX_A)
-        z ^= np.right_shift(z, np.uint64(27), out=scratch)
-        z *= np.uint64(_MIX_B)
-        z ^= np.right_shift(z, np.uint64(31), out=scratch)
-        z >>= np.uint64(11)
-        np.add(z, 0.5, out=out)
+        bits = out.view(np.uint64)
+        for start in range(0, count, BLOCK):
+            stop = min(start + BLOCK, count)
+            z = np.arange(start + 1, stop + 1, dtype=np.uint64)
+            z *= np.uint64(GOLDEN)
+            z += np.uint64(self._state)
+            scratch = bits[start:stop]
+            z ^= np.right_shift(z, np.uint64(30), out=scratch)
+            z *= np.uint64(_MIX_A)
+            z ^= np.right_shift(z, np.uint64(27), out=scratch)
+            z *= np.uint64(_MIX_B)
+            z ^= np.right_shift(z, np.uint64(31), out=scratch)
+            z >>= np.uint64(11)
+            np.add(z, 0.5, out=out[start:stop])
+        self._state = (self._state + count * GOLDEN) & MASK
         out *= 2.0**-52
         return np.subtract(out, 1.0, out=out)
 

@@ -4,10 +4,11 @@ The process is V0 = I; U_{t+1} = 2I - V_t A; V_{t+1} = U_{t+1} V_t, which
 converges quadratically to A^-1 whenever the spectrum of A lies in (0, 2):
 V_t is the sum of the first 2^t terms of the Neumann series of A, so the
 spectral residual I - V_t A is (I - A)^(2^t).  ``scale_factor`` gives the
-alpha that places the spectrum of A = alpha Z there, by one of three
-kinds: the optimal factor (needs the extreme eigenvalues), a trace-based
-factor, and a Gershgorin/diagonal factor that reads only one column-sum
-pass off the matrix.  ``iteration_bound`` turns the contraction into a
+alpha = 2/d that places the spectrum of A = alpha Z there, by one of three
+kinds that differ only in the denominator d: the optimal factor (the sum of
+the extreme eigenvalues), a trace-based factor, and a Gershgorin/diagonal
+factor that reads only one row-sum pass off the matrix; one positivity
+check on d serves all three.  ``iteration_bound`` turns the contraction into a
 count for the plain process.  ``invert`` validates A once and runs the
 process without allocating per step, plainly or self-scaled:
 V_{t+1} = beta_t U_{t+1} V_t, with one scalar gain per update that
@@ -35,39 +36,17 @@ class ScaleFactorKind(enum.Enum):
     GERSHGORIN = "alpha2"
 
 
-def alpha_optimal_bounds(lam_min: float, lam_max: float) -> float:
-    """Optimal factor 2/(lam_max + lam_min) from known extreme eigenvalues."""
-    if not lam_min > 0.0:
-        raise ValueError(f"matrix is not positive definite: smallest eigenvalue {lam_min}")
-    if lam_max < lam_min:
-        raise ValueError("lam_max must be at least lam_min")
-    return 2.0 / (lam_max + lam_min)
-
-
-def alpha_trace_value(z: np.ndarray) -> float:
-    """Trace-based factor 2/trace(Z) of a trusted matrix; touches only the diagonal."""
-    tr = float(np.trace(z))
-    if not tr > 0.0:
-        raise ValueError(f"matrix is not positive definite: trace = {tr}")
-    return 2.0 / tr
-
-
-def alpha_gershgorin_value(z: np.ndarray) -> float:
-    """Diagonal/row-sum factor 2/(min z_ii + max_i sum_j |z_ij|) of a trusted matrix."""
-    denom = float(np.diag(z).min()) + float(np.abs(z).sum(axis=1).max())
-    if not denom > 0.0:
-        raise ValueError(f"matrix is not positive definite: scale denominator = {denom}")
-    return 2.0 / denom
-
-
 def scale_factor(
     z: np.ndarray, kind: ScaleFactorKind, extremes: tuple[float, float] | None = None
 ) -> float:
-    """The value of scale factor ``kind`` for the trusted symmetric matrix ``z``.
+    """The value 2/d of scale factor ``kind`` for the trusted symmetric matrix ``z``.
 
-    ``extremes`` is a known ``(low, high)`` spectrum of ``z``; the optimal
-    factor computes it with :func:`extreme_eigenvalues` when it is not given.
-    Raises ``ValueError`` when ``z`` is not positive definite.
+    The kinds differ only in the denominator d: alpha0 takes lambda_min +
+    lambda_max, from ``extremes``, a known ``(low, high)`` spectrum of ``z``,
+    or else from :func:`extreme_eigenvalues`; alpha1 takes trace(Z); alpha2
+    takes min z_ii + max_i sum_j |z_ij|.  Raises ``ValueError`` when ``z`` is
+    not positive definite, that is, when d is not positive or the extremes
+    are not 0 < low <= high.
 
     For a positive definite n x n ``z`` with n >= 2, no kind puts an
     eigenvalue of alpha * Z at 2: alpha0 centres the spectrum on 1; alpha2
@@ -78,12 +57,17 @@ def scale_factor(
     For n = 1, alpha1 puts the one eigenvalue z[0, 0] at 2 exactly.
     """
     if kind is ScaleFactorKind.TRACE:
-        return alpha_trace_value(z)
-    if kind is ScaleFactorKind.GERSHGORIN:
-        return alpha_gershgorin_value(z)
-    if extremes is None:
-        extremes = extreme_eigenvalues(z)
-    return alpha_optimal_bounds(*extremes)
+        d = float(np.trace(z))
+    elif kind is ScaleFactorKind.GERSHGORIN:
+        d = float(np.diag(z).min()) + float(np.abs(z).sum(axis=1).max())
+    else:
+        low, high = extreme_eigenvalues(z) if extremes is None else extremes
+        if not 0.0 < low <= high:
+            raise ValueError(f"matrix is not positive definite: extremes ({low}, {high})")
+        d = high + low
+    if not d > 0.0:
+        raise ValueError(f"matrix is not positive definite: scale denominator = {d}")
+    return 2.0 / d
 
 
 #: Matrix-vector power steps per self-scaled update that refresh the estimate of ||I - V A||_2.

@@ -17,10 +17,8 @@ from lsqmatch.generate import MoreToraldoSpec, derive_seed, mix64, more_toraldo,
 from lsqmatch.inverter import (
     InversionConfig,
     ScaleFactorKind,
-    alpha_gershgorin_value,
-    alpha_optimal_bounds,
-    alpha_trace_value,
     invert,
+    scale_factor,
 )
 from lsqmatch.linalg import gram
 from lsqmatch.matching import PipelineConfig, estimate_time_ms, op_count, solve_transform
@@ -44,15 +42,12 @@ def _law_counts(kind):
         for trial in range(TRIALS):
             z = _conditioned_matrix(n, kappa, derive_seed(42, trial))
             if kind is ScaleFactorKind.OPTIMAL:
-                alpha = alpha_optimal_bounds(1.0, kappa)
                 law = math.log2(kappa) + 3.0
             elif kind is ScaleFactorKind.TRACE:
-                alpha = alpha_trace_value(z)
                 law = math.log2(kappa) + math.log2(n) + 1.0
             else:
-                alpha = alpha_gershgorin_value(z)
                 law = math.log2(kappa) + math.log2(n) / 3.0
-            report = invert(z * alpha)
+            report = invert(z * scale_factor(z, kind, (1.0, kappa)))
             assert report.converged
             counts.append(report.iterations)
         cells.append((n, kappa, law, counts))
@@ -135,11 +130,7 @@ def test_criterion_04_size_grid_spot_cells():
         counts = []
         for trial in range(TRIALS):
             z = gram(uniform_pattern(m, n, derive_seed(123, trial)))
-            if kind is ScaleFactorKind.TRACE:
-                alpha = alpha_trace_value(z)
-            else:
-                alpha = alpha_gershgorin_value(z)
-            report = invert(z * alpha)
+            report = invert(z * scale_factor(z, kind))
             assert report.converged
             counts.append(report.iterations)
         mean = sum(counts) / len(counts)
@@ -222,9 +213,9 @@ def test_criterion_08_scale_factor_ordering():
             rows = n * (1 + (mix64(s + 900) % 8))
             z = gram(uniform_pattern(rows, n, derive_seed(13, s)))
         w = np.linalg.eigvalsh(z)
-        alpha0 = alpha_optimal_bounds(float(w[0]), float(w[-1]))
-        alpha1 = alpha_trace_value(z)
-        alpha2 = alpha_gershgorin_value(z)
+        alpha0 = scale_factor(z, ScaleFactorKind.OPTIMAL, (float(w[0]), float(w[-1])))
+        alpha1 = scale_factor(z, ScaleFactorKind.TRACE)
+        alpha2 = scale_factor(z, ScaleFactorKind.GERSHGORIN)
         assert alpha1 <= alpha0 * (1.0 + 1e-12)
         assert alpha2 <= alpha0 * (1.0 + 1e-12)
         if n == 2:

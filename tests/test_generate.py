@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from lsqmatch.generate import (
+    BLOCK,
     GOLDEN,
     MoreToraldoSpec,
     SplitMix64,
@@ -58,14 +61,30 @@ def _scalar_stream(seed, first, count):
 )
 def test_stream_matches_scalar_formula(seed):
     count = 1000
-    expected = np.array(_scalar_stream(seed, 1, count))
-    assert SplitMix64(seed).take(count).tobytes() == expected.tobytes()
+    expected = np.array(_scalar_stream(seed, 1, BLOCK + 9))
+    assert SplitMix64(seed).take(count).tobytes() == expected[:count].tobytes()
     stream = SplitMix64(seed)
     first = stream.take(7)
     rest = stream.take(count - 7)
     assert first.tobytes() == expected[:7].tobytes()
-    assert rest.tobytes() == expected[7:].tobytes()
-    assert stream.take(1).tobytes() == np.array(_scalar_stream(seed, count + 1, 1)).tobytes()
+    assert rest.tobytes() == expected[7:count].tobytes()
+    assert stream.take(1).tobytes() == expected[count : count + 1].tobytes()
+    # Across a block edge, in one draw and resumed one value past the edge.
+    assert SplitMix64(seed).take(BLOCK + 1).tobytes() == expected[: BLOCK + 1].tobytes()
+    stream = SplitMix64(seed)
+    assert stream.take(BLOCK + 1).tobytes() == expected[: BLOCK + 1].tobytes()
+    assert stream.take(8).tobytes() == expected[BLOCK + 1 :].tobytes()
+
+
+def test_uniform_pattern_holds_one_output_buffer():
+    # The stream is mixed a block at a time, in the output's own bytes.
+    tracemalloc.start()
+    try:
+        x = uniform_pattern(4096, 256, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * x.nbytes
 
 
 def test_stream_values_strictly_inside_interval():

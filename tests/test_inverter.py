@@ -10,10 +10,10 @@ from lsqmatch.inverter import (
     DivergenceError,
     InversionConfig,
     InversionStatus,
-    alpha_optimal_bounds,
-    alpha_trace_value,
+    ScaleFactorKind,
     invert,
     iteration_bound,
+    scale_factor,
 )
 
 
@@ -78,7 +78,7 @@ def test_scaled_identity_iterates():
 def test_conditioned_two_by_two_stops_at_four():
     """Contraction 1/3 needs (1/3)^16 < 1e-6 <= (1/3)^8, so the stop lands on t=4."""
     _, z = more_toraldo(MoreToraldoSpec(2, 2.0), 4242)
-    rep = invert(z * alpha_optimal_bounds(1.0, 2.0))
+    rep = invert(z * scale_factor(z, ScaleFactorKind.OPTIMAL, (1.0, 2.0)))
     assert rep.converged
     assert rep.iterations == 4
 
@@ -157,7 +157,7 @@ def test_inverse_quality():
         n = 4 + (index % 3)
         kappa = 30.0
         _, z = more_toraldo(MoreToraldoSpec(n, kappa), derive_seed(33, index))
-        alpha = alpha_optimal_bounds(1.0, kappa)
+        alpha = scale_factor(z, ScaleFactorKind.OPTIMAL, (1.0, kappa))
         rep = invert(z * alpha)
         assert rep.converged
         approx_inverse_times_z = (alpha * rep.inverse) @ z
@@ -240,7 +240,7 @@ def test_predictor_for_optimal_factor():
     assert iteration_bound(1.0, 1.0, 1e-6) == 0  # kappa = 1: c = 0
     for k in range(4, 31):
         kappa = 2.0**k
-        alpha = alpha_optimal_bounds(1.0, kappa)
+        alpha = 2.0 / (kappa + 1.0)
         assert iteration_bound(alpha, alpha * kappa, 1e-6) == k + 3
 
 
@@ -253,9 +253,9 @@ def test_predictor_for_trace_factor():
     for kappa in (1.0, 3.0, 100.0, 2.0**20):
         for n in (2, 5, 64):
             _, z = more_toraldo(MoreToraldoSpec(n, kappa), 91)
-            alpha = alpha_trace_value(z)
+            alpha = scale_factor(z, ScaleFactorKind.TRACE)
             count = iteration_bound(alpha, alpha * kappa, 1e-6)
             paper = math.log2(abs(math.log(1e-6))) + math.log2(kappa) + math.log2(n) - 1.0
             assert count <= math.ceil(paper)
-            optimal = alpha_optimal_bounds(1.0, kappa)
+            optimal = scale_factor(z, ScaleFactorKind.OPTIMAL, (1.0, kappa))
             assert count >= iteration_bound(optimal, optimal * kappa, 1e-6)

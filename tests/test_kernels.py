@@ -20,9 +20,6 @@ from lsqmatch.inverter import (
     InversionStatus,
     ScaleFactorKind,
     _stop_status,
-    alpha_gershgorin_value,
-    alpha_optimal_bounds,
-    alpha_trace_value,
     invert,
     iteration_bound,
     scale_factor,
@@ -115,20 +112,18 @@ def _oracle_cases():
     for n in (1, 2, 3, 32, 128, 256):
         x = uniform_pattern(4 * n, n, 1000 + n)
         z = x.T @ x
-        yield pytest.param(z * alpha_gershgorin_value(z), 1e-6, 200, id=f"gram-n{n}")
+        yield pytest.param(
+            z * scale_factor(z, ScaleFactorKind.GERSHGORIN), 1e-6, 200, id=f"gram-n{n}"
+        )
         if n == 1:
             continue
         for kappa in (2.0**10, 2.0**20):
             _, z = more_toraldo(MoreToraldoSpec(n, kappa), 2000 + n)
-            alphas = {
-                "alpha0": alpha_optimal_bounds(1.0, kappa),
-                "alpha1": alpha_trace_value(z),
-                "alpha2": alpha_gershgorin_value(z),
-            }
-            for token, alpha in alphas.items():
-                yield pytest.param(z * alpha, 1e-6, 200, id=f"mt-n{n}-k{kappa:g}-{token}")
+            for kind in ScaleFactorKind:
+                alpha = scale_factor(z, kind, (1.0, kappa))
+                yield pytest.param(z * alpha, 1e-6, 200, id=f"mt-n{n}-k{kappa:g}-{kind.value}")
     _, z = more_toraldo(MoreToraldoSpec(32, 2.0**10), 7)
-    yield pytest.param(z * alpha_trace_value(z), 1e-300, 4, id="hit-cap")
+    yield pytest.param(z * scale_factor(z, ScaleFactorKind.TRACE), 1e-300, 4, id="hit-cap")
     yield pytest.param(3.0 * np.eye(4), 1e-6, 200, id="diverged")
     yield pytest.param(np.array([[2.0]]), 1e-6, 200, id="stalled")
     # A rank-deficient Gram matrix: the residual climbs back to 1 and stops
@@ -149,7 +144,7 @@ def _oracle_cases():
     yield pytest.param(signed, 1e-6, 200, id="negative-zeros")
     x = uniform_pattern(128, 32, 1032)
     z = x.T @ x
-    signed = z * alpha_gershgorin_value(z)
+    signed = z * scale_factor(z, ScaleFactorKind.GERSHGORIN)
     signed[::3, 1::3] = -0.0
     signed[1::3, ::3] = -0.0
     yield pytest.param(signed, 1e-6, 200, id="negative-zeros-n32")
@@ -191,12 +186,8 @@ def test_self_scaled_count_follows_recursion(delta):
 def test_self_scaled_never_slower_than_plain():
     for kappa in (2.0**10, 2.0**20):
         _, z = more_toraldo(MoreToraldoSpec(32, kappa), 2032)
-        for alpha in (
-            alpha_optimal_bounds(1.0, kappa),
-            alpha_trace_value(z),
-            alpha_gershgorin_value(z),
-        ):
-            a = z * alpha
+        for kind in ScaleFactorKind:
+            a = z * scale_factor(z, kind, (1.0, kappa))
             rep = invert(a, self_scaled=True)
             assert rep.status is InversionStatus.CONVERGED
             assert rep.iterations <= invert(a).iterations
@@ -223,7 +214,7 @@ def test_self_scaled_applies_no_gain_at_or_above_one(a):
 
 def test_invert_reads_a_read_only_input():
     _, z = more_toraldo(MoreToraldoSpec(16, 2.0**10), 12)
-    a = z * alpha_gershgorin_value(z)
+    a = z * scale_factor(z, ScaleFactorKind.GERSHGORIN)
     assert a.tobytes() == a.T.copy().tobytes()  # so validation does not copy it
     kept = a.copy()
     a.setflags(write=False)
@@ -241,7 +232,7 @@ def test_newton_schulz_peak_memory():
     # validation neither copies the symmetric input nor keeps a temporary.
     n = 128
     _, z = more_toraldo(MoreToraldoSpec(n, 2.0**10), 11)
-    a = z * alpha_trace_value(z)
+    a = z * scale_factor(z, ScaleFactorKind.TRACE)
     for self_scaled in (False, True):
         tracemalloc.start()
         try:

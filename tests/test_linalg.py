@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 import lsqmatch.linalg as la
 from lsqmatch.generate import MoreToraldoSpec, more_toraldo, uniform_pattern
-from lsqmatch.inverter import alpha_optimal_bounds
+from lsqmatch.inverter import ScaleFactorKind, scale_factor
 
 
 def _random_spd(n, seed):
@@ -441,7 +441,7 @@ def test_spectral_norm_of_rescaled_residual():
     """I - alpha0*Z has spectrum -+(kappa-1)/(kappa+1) at its ends by construction."""
     kappa = 24.0
     _, z = more_toraldo(MoreToraldoSpec(8, kappa), 777)
-    a = z * alpha_optimal_bounds(1.0, kappa)
+    a = z * scale_factor(z, ScaleFactorKind.OPTIMAL, (1.0, kappa))
     resid = la.symmetrize(np.eye(8) - a)
     expected = (kappa - 1.0) / (kappa + 1.0)
     low, high = la.extreme_eigenvalues(resid)

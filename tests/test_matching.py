@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oracles import self_scaled_count
 
 from lsqmatch.generate import derive_seed, uniform_pattern
-from lsqmatch.inverter import InversionConfig, ScaleFactorKind, alpha_trace_value
+from lsqmatch.inverter import InversionConfig, ScaleFactorKind, scale_factor
 from lsqmatch.linalg import binary_exponent, gram
 from lsqmatch.matching import (
     InversionStalledError,
@@ -200,7 +200,7 @@ def test_single_column_trace_scale_stalls():
     x = uniform_pattern(5, 1, 3)
     result = solve_transform(x, 2.0 * x, PipelineConfig(scale_kind=ScaleFactorKind.TRACE))
     z = gram(np.ldexp(x, -binary_exponent(x)))
-    a = (z * alpha_trace_value(z))[0, 0]
+    a = (z * scale_factor(z, ScaleFactorKind.TRACE))[0, 0]
     assert result.inversion.converged
     assert result.inversion.iterations == self_scaled_count(abs(1.0 - a), 1e-6)
     assert abs(result.transform[0, 0] - 2.0) < 1e-6

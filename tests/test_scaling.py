@@ -1,9 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 import lsqmatch.inverter as sc
 from lsqmatch.generate import MoreToraldoSpec, more_toraldo, uniform_pattern
-from lsqmatch.linalg import extreme_eigenvalues, gram
+from lsqmatch.linalg import gram
+
+OPTIMAL = sc.ScaleFactorKind.OPTIMAL
+TRACE = sc.ScaleFactorKind.TRACE
+GERSHGORIN = sc.ScaleFactorKind.GERSHGORIN
 
 
 def test_kind_tokens():
@@ -17,74 +23,78 @@ def test_kind_tokens():
 
 
 def test_optimal_simple_pair():
-    alpha = sc.alpha_optimal_bounds(1.0, 2.0)
+    alpha = sc.scale_factor(np.diag([1.0, 2.0]), OPTIMAL, (1.0, 2.0))
     assert abs(alpha - 2.0 / 3.0) < 1e-15
     assert abs((1.0 - alpha) - 1.0 / 3.0) < 1e-15
 
 
 def test_optimal_equal_eigenvalues():
-    alpha = sc.alpha_optimal_bounds(4.0, 4.0)
+    alpha = sc.scale_factor(4.0 * np.eye(2), OPTIMAL, (4.0, 4.0))
     assert alpha == 0.25
     assert alpha * 4.0 == 1.0
 
 
 def test_optimal_wide_spread():
     """The rescaled ends sit symmetrically about 1, each 62/64 away."""
-    alpha = sc.alpha_optimal_bounds(1.0, 63.0)
+    alpha = sc.scale_factor(np.diag([1.0, 63.0]), OPTIMAL, (1.0, 63.0))
     assert abs((1.0 - alpha) - 62.0 / 64.0) < 1e-15
     assert abs((alpha * 63.0 - 1.0) - 62.0 / 64.0) < 1e-15
 
 
 def test_optimal_rejects_nonpositive():
-    with pytest.raises(ValueError, match="not positive definite"):
-        sc.alpha_optimal_bounds(0.0, 2.0)
-    with pytest.raises(ValueError, match="not positive definite"):
-        sc.alpha_optimal_bounds(-1.0, 2.0)
-    with pytest.raises(ValueError, match="at least lam_min"):
-        sc.alpha_optimal_bounds(2.0, 1.0)
+    """A given pair must be a positive spectrum in order, 0 < low <= high."""
+    for extremes in ((0.0, 2.0), (-1.0, 2.0), (math.nan, 2.0), (2.0, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="not positive definite"):
+            sc.scale_factor(np.eye(2), OPTIMAL, extremes)
 
 
 def test_optimal_from_decomposition():
     """With no known extremes, the optimal factor computes them from the matrix."""
-    alpha = sc.scale_factor(np.array([[5.0, 2.0], [2.0, 5.0]]), sc.ScaleFactorKind.OPTIMAL)
+    alpha = sc.scale_factor(np.array([[5.0, 2.0], [2.0, 5.0]]), OPTIMAL)
     assert abs(alpha - 0.2) < 1e-14
 
 
 def test_trace_examples():
-    assert abs(sc.alpha_trace_value(np.diag([1.0, 2.0])) - 2.0 / 3.0) < 1e-15
-    assert sc.alpha_trace_value(np.eye(4)) == 0.5
+    assert abs(sc.scale_factor(np.diag([1.0, 2.0]), TRACE) - 2.0 / 3.0) < 1e-15
+    assert sc.scale_factor(np.eye(4), TRACE) == 0.5
     # n=2: trace equals eigenvalue sum
-    assert abs(sc.alpha_trace_value(np.array([[5.0, 2.0], [2.0, 5.0]])) - 0.2) < 1e-15
-    with pytest.raises(ValueError, match="not positive definite"):
-        sc.alpha_trace_value(np.zeros((3, 3)))
+    assert abs(sc.scale_factor(np.array([[5.0, 2.0], [2.0, 5.0]]), TRACE) - 0.2) < 1e-15
+    for z in (np.zeros((3, 3)), np.diag([1.0, -2.0]), np.diag([1.0, math.nan])):
+        with pytest.raises(ValueError, match="not positive definite"):
+            sc.scale_factor(z, TRACE)
 
 
 def test_gershgorin_examples():
-    assert sc.alpha_gershgorin_value(np.eye(3)) == 1.0
-    assert abs(sc.alpha_gershgorin_value(np.array([[5.0, 2.0], [2.0, 5.0]])) - 1.0 / 6.0) < 1e-15
-    assert abs(sc.alpha_gershgorin_value(np.diag([1.0, 4.0])) - 0.4) < 1e-15
-    optimal = sc.alpha_optimal_bounds(1.0, 4.0)
-    assert abs(sc.alpha_gershgorin_value(np.diag([1.0, 4.0])) - optimal) < 1e-15
-    with pytest.raises(ValueError, match="not positive definite"):
-        sc.alpha_gershgorin_value(-np.eye(2))
+    assert sc.scale_factor(np.eye(3), GERSHGORIN) == 1.0
+    assert abs(sc.scale_factor(np.array([[5.0, 2.0], [2.0, 5.0]]), GERSHGORIN) - 1.0 / 6.0) < 1e-15
+    assert abs(sc.scale_factor(np.diag([1.0, 4.0]), GERSHGORIN) - 0.4) < 1e-15
+    # On a diagonal matrix min z_ii + max z_ii is the optimal denominator.
+    assert sc.scale_factor(np.diag([1.0, 4.0]), GERSHGORIN) == 2.0 / (4.0 + 1.0)
+    # A negative diagonal cancels its own row sum: the denominator is -1 + 1 = 0.
+    for z in (-np.eye(2), np.diag([1.0, math.nan])):
+        with pytest.raises(ValueError, match="not positive definite"):
+            sc.scale_factor(z, GERSHGORIN)
 
 
 def test_scale_factor_dispatch():
-    for seed in (21, 22):
-        z = gram(uniform_pattern(24, 6, seed))
-        assert sc.scale_factor(z, sc.ScaleFactorKind.TRACE) == sc.alpha_trace_value(z)
-        assert sc.scale_factor(z, sc.ScaleFactorKind.GERSHGORIN) == sc.alpha_gershgorin_value(z)
-        optimal = sc.scale_factor(z, sc.ScaleFactorKind.OPTIMAL)
-        assert optimal == sc.alpha_optimal_bounds(*extreme_eigenvalues(z))
-    _, z = more_toraldo(MoreToraldoSpec(8, 64.0), 5)
-    for kind in sc.ScaleFactorKind:
-        got = sc.scale_factor(z, kind, extremes=(1.0, 64.0))
-        if kind is sc.ScaleFactorKind.OPTIMAL:
-            assert got == sc.alpha_optimal_bounds(1.0, 64.0)
-        else:
-            assert got == sc.scale_factor(z, kind)
+    """Every kind is 2/d for its closed-form denominator d, bit for bit."""
+    uniform = [gram(uniform_pattern(24, 6, seed)) for seed in (21, 22)]
+    _, mt = more_toraldo(MoreToraldoSpec(8, 64.0), 5)
+    for z in (*uniform, mt):
+        diag_min = min(np.diag(z))
+        row_sum_max = max(np.abs(z).sum(axis=1))
+        w = np.linalg.eigvalsh(z)
+        for extremes in (None, (float(w[0]), float(w[-1]))):
+            # A given spectrum is read only by the optimal kind.
+            assert sc.scale_factor(z, TRACE, extremes) == 2.0 / float(np.trace(z))
+            assert sc.scale_factor(z, GERSHGORIN, extremes) == 2.0 / (diag_min + row_sum_max)
+        got = sc.scale_factor(z, OPTIMAL, (float(w[0]), float(w[-1])))
+        assert got == 2.0 / (w[-1] + w[0])
+        # With none given it comes from extreme_eigenvalues, checked here against eigvalsh.
+        assert abs(sc.scale_factor(z, OPTIMAL) - got) <= 1e-12 * got
+    assert sc.scale_factor(mt, OPTIMAL, (1.0, 64.0)) == 2.0 / 65.0
     with pytest.raises(ValueError, match="not positive definite"):
-        sc.scale_factor(np.zeros((3, 3)), sc.ScaleFactorKind.OPTIMAL)
+        sc.scale_factor(np.zeros((3, 3)), OPTIMAL)
 
 
 def _spd_samples():
@@ -100,17 +110,17 @@ def test_ordering_against_optimal():
     """Both practical factors stay at or below the optimal one."""
     for z in _spd_samples():
         w = np.linalg.eigvalsh(z)
-        a0 = sc.alpha_optimal_bounds(w[0], w[-1])
-        assert sc.alpha_trace_value(z) <= a0 * (1 + 1e-12)
-        assert sc.alpha_gershgorin_value(z) <= a0 * (1 + 1e-12)
+        a0 = sc.scale_factor(z, OPTIMAL, (w[0], w[-1]))
+        assert sc.scale_factor(z, TRACE) <= a0 * (1 + 1e-12)
+        assert sc.scale_factor(z, GERSHGORIN) <= a0 * (1 + 1e-12)
 
 
 def test_trace_equals_optimal_for_two_dims():
     for seed in (31, 32, 33):
         z = gram(uniform_pattern(10, 2, seed))
         w = np.linalg.eigvalsh(z)
-        a0 = sc.alpha_optimal_bounds(w[0], w[-1])
-        assert abs(sc.alpha_trace_value(z) - a0) < 1e-12 * a0
+        a0 = sc.scale_factor(z, OPTIMAL, (w[0], w[-1]))
+        assert abs(sc.scale_factor(z, TRACE) - a0) < 1e-12 * a0
 
 
 def test_rescaled_spectrum_in_region():
@@ -118,9 +128,9 @@ def test_rescaled_spectrum_in_region():
     for z in _spd_samples():
         w = np.linalg.eigvalsh(z)
         alphas = [
-            sc.alpha_optimal_bounds(w[0], w[-1]),
-            sc.alpha_trace_value(z),
-            sc.alpha_gershgorin_value(z),
+            sc.scale_factor(z, OPTIMAL, (w[0], w[-1])),
+            sc.scale_factor(z, TRACE),
+            sc.scale_factor(z, GERSHGORIN),
         ]
         for alpha in alphas:
             a = z * alpha
@@ -133,10 +143,10 @@ def test_scale_invariance_of_diagnostics():
     """Scaling Z by c scales alpha0 by 1/c and leaves the rescaled spectrum fixed."""
     _, z = more_toraldo(MoreToraldoSpec(6, 40.0), 555)
     w = np.linalg.eigvalsh(z)
-    base = sc.alpha_optimal_bounds(w[0], w[-1])
+    base = sc.scale_factor(z, OPTIMAL, (w[0], w[-1]))
     for c in (0.25, 3.0, 1e4):
         wc = np.linalg.eigvalsh(z * c)
-        alpha = sc.alpha_optimal_bounds(wc[0], wc[-1])
+        alpha = sc.scale_factor(z * c, OPTIMAL, (wc[0], wc[-1]))
         assert abs(alpha - base / c) < 1e-10 * base / c
         assert abs(alpha * wc[0] - base * w[0]) < 1e-10
         assert abs(alpha * wc[-1] - base * w[-1]) < 1e-10
