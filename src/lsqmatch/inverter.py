@@ -45,8 +45,8 @@ def scale_factor(
     lambda_max, from ``extremes``, a known ``(low, high)`` spectrum of ``z``,
     or else from :func:`extreme_eigenvalues`; alpha1 takes trace(Z); alpha2
     takes min z_ii + max_i sum_j |z_ij|.  Raises ``ValueError`` when ``z`` is
-    not positive definite, that is, when d is not positive or the extremes
-    are not 0 < low <= high.
+    not positive definite (d is not positive or the extremes are not
+    0 < low <= high) and when d overflows, where alpha would read 0.
 
     For a positive definite n x n ``z`` with n >= 2, no kind puts an
     eigenvalue of alpha * Z at 2: alpha0 centres the spectrum on 1; alpha2
@@ -56,17 +56,20 @@ def scale_factor(
     u times it, that is, only if ``z`` is singular to working precision.
     For n = 1, alpha1 puts the one eigenvalue z[0, 0] at 2 exactly.
     """
-    if kind is ScaleFactorKind.TRACE:
-        d = float(np.trace(z))
-    elif kind is ScaleFactorKind.GERSHGORIN:
-        d = float(np.diag(z).min()) + float(np.abs(z).sum(axis=1).max())
-    else:
-        low, high = extreme_eigenvalues(z) if extremes is None else extremes
-        if not 0.0 < low <= high:
-            raise ValueError(f"matrix is not positive definite: extremes ({low}, {high})")
-        d = high + low
+    with np.errstate(over="ignore"):  # an overflowed d is inf, and rejected
+        if kind is ScaleFactorKind.TRACE:
+            d = float(np.trace(z))
+        elif kind is ScaleFactorKind.GERSHGORIN:
+            d = float(np.diag(z).min()) + float(np.abs(z).sum(axis=1).max())
+        else:
+            low, high = extreme_eigenvalues(z) if extremes is None else extremes
+            if not 0.0 < low <= high:
+                raise ValueError(f"matrix is not positive definite: extremes ({low}, {high})")
+            d = high + low
     if not d > 0.0:
         raise ValueError(f"matrix is not positive definite: scale denominator = {d}")
+    if d == math.inf:
+        raise ValueError("scale denominator overflows the float64 range")
     return 2.0 / d
 
 
@@ -137,12 +140,12 @@ def invert(a, cfg: InversionConfig | None = None, self_scaled=False) -> Inversio
     """Run the recurrence V0 = I; U = 2I - V A; V <- U V on symmetric ``a``.
 
     The caller rescales ``a`` so its spectrum lies in (0, 2).  ``a`` is
-    validated by :func:`symmetrize` and then only read; an exactly symmetric
-    input is not copied.  V and two n x n work buffers are allocated once per
-    call, so an update allocates no n x n array, and the first update makes
-    no product, since V0 A is A and U0 V0 is U0.  Every entry goes through
-    the same floating-point operations as ``2.0 * eye - v @ a``, so the plain
-    run's iterates and residuals are bit-identical to that formulation.
+    validated by :func:`symmetrize`, which makes no copy, and then only
+    read.  V and two n x n work buffers are allocated once per call, so an
+    update allocates no n x n array, and the first update makes no product,
+    since V0 A is A and U0 V0 is U0.  Every entry goes through the same
+    floating-point operations as ``2.0 * eye - v @ a``, so the plain run's
+    iterates and residuals are bit-identical to that formulation.
 
     With ``self_scaled`` each update also scales U in place by one gain
     beta = 2 / (2 - rho^2) before the U V product, which centres the

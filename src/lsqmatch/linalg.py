@@ -4,11 +4,12 @@
 Householder tridiagonalization and Sturm-sequence multisection; it is what
 the optimal scale factor and the benchmark's kappa use.
 
-Matrices are plain 2-D float64 numpy arrays.  ``as_matrix`` / ``symmetrize``
-are the validating constructors.  Input is validated once, where it enters
-the package (``solve_transform``, ``invert``, ``extreme_eigenvalues``, the
-matrix text format); ``gram`` and the scale factors take trusted finite
-float64 arrays and check nothing.
+Matrices are plain 2-D float64 numpy arrays.  ``as_matrix`` is the validating
+constructor, and ``symmetrize`` adds the check that the matrix equals its
+transpose.  Input is validated once, where it enters the package
+(``solve_transform``, ``invert``, ``extreme_eigenvalues``, the matrix text
+format); ``gram`` and the scale factors take trusted finite float64 arrays
+and check nothing.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ import numpy as np
 
 #: Shifts placed inside each bracket per Sturm multisection step.
 MULTISECTION_SHIFTS = 63
-
-#: Absolute tolerance under which an almost-symmetric matrix is symmetrized
-#: rather than rejected.
-SYMMETRY_TOL = 1e-12
 
 
 def as_matrix(a) -> np.ndarray:
@@ -41,31 +38,21 @@ def as_matrix(a) -> np.ndarray:
 
 
 def symmetrize(a) -> np.ndarray:
-    """Return ``a`` validated and exactly symmetric: (i,j) == (j,i) bit for bit.
+    """Return ``a`` as :func:`as_matrix` gives it, if it equals its transpose.
 
-    A matrix already symmetric bit for bit comes back as :func:`as_matrix`
-    gives it, with no copy, so it may be the caller's array; callers must not
-    write to the result.  Otherwise the result is a new array, the average of
-    ``a`` and its transpose, which also sets a zero whose sign differs from
-    its mirror's to +0.0.  Each half is taken before the sum, so no entry
-    overflows; an entry below 2^-1021 in magnitude may then be one unit of
-    2^-1074 away from the correctly rounded average.  Accepts square matrices
-    whose asymmetry ``max|a_ij - a_ji|`` is at most ``SYMMETRY_TOL``; anything
-    worse is rejected, not silently averaged away.
+    Values are compared, with no arithmetic, so nothing can overflow, and a
+    zero whose sign differs from its mirror's passes.  No copy is made, so
+    the result may be the caller's array; callers must not write to it.
+    Other matrices raise ``ValueError`` naming the first a[i, j] != a[j, i].
     """
     out = as_matrix(a)
     if out.shape[0] != out.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {out.shape}")
-    bits = out.view(np.int64)
-    if np.array_equal(bits, bits.T):
+    if np.array_equal(out, out.T):
         return out
-    with np.errstate(over="ignore"):  # an overflowed gap is inf, and rejected
-        gap = float(np.abs(out - out.T).max())
-    if gap > SYMMETRY_TOL:
-        raise ValueError(
-            f"matrix is not symmetric: max|a_ij - a_ji| = {gap:.3e} > {SYMMETRY_TOL:.1e}"
-        )
-    return out * 0.5 + out.T * 0.5
+    i, j = np.argwhere(out != out.T)[0]
+    values = f"a[{i}, {j}] = {out[i, j]} but a[{j}, {i}] = {out[j, i]}"
+    raise ValueError(f"matrix is not symmetric: {values}")
 
 
 def binary_exponent(a: np.ndarray) -> int:
@@ -148,22 +135,21 @@ def extreme_eigenvalues(z) -> tuple[float, float]:
     multisection, starting from the tridiagonal's Gershgorin interval, until
     it is 2 eps wide relative to its ends or unit-roundoff wide relative to
     the norm, the accuracy the reduction itself has (the tolerances of
-    LAPACK's dstebz).  Indefinite matrices are fine.  The symmetry check of
-    :func:`symmetrize` is made after scaling ``z`` to max|z| in [0.5, 1), so
-    it is relative to that largest entry and does not depend on the scale.
-    After that scale the Gershgorin bound is near 0.5 or above (it bounds the
-    2-norm), so dstebz's pivot-floor terms would change no bit of the bracket.
+    LAPACK's dstebz).  Indefinite matrices are fine, and so are entries up
+    to the float64 maximum; an end beyond that range reads -inf or inf.
+    The reduction runs on ``z`` scaled to max|z| in [0.5, 1), where the
+    Gershgorin bound is near 0.5 or above (it bounds the 2-norm), so
+    dstebz's pivot-floor terms would change no bit of the bracket.
     """
-    # A power-of-two scale keeps max|a| in [0.5, 1) and is undone exactly; it
-    # comes first, so that neither symmetrizing nor the reduction can overflow.
-    # It also gives the fresh array that the reduction overwrites.
-    a = as_matrix(z)
-    exponent = binary_exponent(a)
-    s = symmetrize(np.ldexp(a, -exponent))
-    if not s.any():
+    # An exact power-of-two scale keeps the reduction from overflowing; its
+    # fresh array is what the reduction overwrites, never the caller's s.
+    s = symmetrize(z)
+    exponent = binary_exponent(s)
+    a = np.ldexp(s, -exponent)
+    if not a.any():
         return 0.0, 0.0
-    n = s.shape[0]
-    d, e = _tridiagonalize(s)
+    n = a.shape[0]
+    d, e = _tridiagonalize(a)
     e2 = e * e
     eps = np.finfo(np.float64).eps
     abs_e = np.abs(e)
@@ -192,6 +178,7 @@ def extreme_eigenvalues(z) -> tuple[float, float]:
                 brackets[row, 0] = shifts[row, k[row] - 1]
             if k[row] < MULTISECTION_SHIFTS:
                 brackets[row, 1] = shifts[row, k[row]]
-    mid = np.ldexp(brackets.mean(axis=1), exponent)
+    with np.errstate(over="ignore"):
+        mid = np.ldexp(brackets.mean(axis=1), exponent)
     return float(mid[0]), float(mid[1])
 

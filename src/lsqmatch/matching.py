@@ -54,6 +54,8 @@ class PipelineConfig:
     def __post_init__(self):
         if not isinstance(self.scale_kind, ScaleFactorKind):
             raise ValueError(f"scale_kind must be a ScaleFactorKind, got {self.scale_kind!r}")
+        if not isinstance(self.inversion, InversionConfig):
+            raise ValueError(f"inversion must be an InversionConfig, got {self.inversion!r}")
 
 
 @dataclass

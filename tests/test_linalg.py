@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 import lsqmatch.linalg as la
 from lsqmatch.generate import MoreToraldoSpec, more_toraldo, uniform_pattern
-from lsqmatch.inverter import ScaleFactorKind, scale_factor
+from lsqmatch.inverter import ScaleFactorKind, invert, scale_factor
 
 
 def _random_spd(n, seed):
@@ -33,18 +33,28 @@ def test_as_matrix_validation():
         la.as_matrix(np.eye(2, dtype=np.complex128))
 
 
-def test_symmetrize_accepts_roundoff_asymmetry():
+def test_symmetrize_rejects_roundoff_asymmetry():
+    # Symmetric means equal to the transpose: a rounding-level gap is an
+    # error wherever input is validated, not averaged away.
     a = np.array([[1.0, 2.0], [2.0 + 5e-13, 3.0]])
-    s = la.symmetrize(a)
-    assert abs(s[0, 1] - s[1, 0]) == 0.0
+    message = r"not symmetric: a\[0, 1\] = 2\.0 but a\[1, 0\] = 2\.0000000000005"
+    for validate in (la.symmetrize, invert, la.extreme_eigenvalues):
+        with pytest.raises(ValueError, match=message):
+            validate(a)
 
 
 def test_symmetrize_rejects_asymmetric():
     with pytest.raises(ValueError, match="not symmetric"):
         la.symmetrize(np.array([[1.0, 2.0], [2.1, 3.0]]))
-    # The gap 2e308 overflows; it is inf, still a rejection and no warning.
-    with pytest.raises(ValueError, match="= inf > "):
+    # No gap is computed, so mirrored entries of opposite sign near the
+    # float64 maximum are rejected with no overflow warning.
+    with pytest.raises(ValueError, match=r"a\[0, 1\] = 1e\+308 but a\[1, 0\] = -1e\+308"):
         la.symmetrize([[0.0, 1e308], [-1e308, 0.0]])
+    # The pair named is the first in row-major order.
+    a = np.zeros((4, 4))
+    a[3, 1], a[2, 0] = 1.0, 2.0
+    with pytest.raises(ValueError, match=r"a\[0, 2\] = 0\.0 but a\[2, 0\] = 2\.0"):
+        la.symmetrize(a)
     with pytest.raises(ValueError):
         la.symmetrize(np.ones((2, 3)))
 
@@ -55,28 +65,23 @@ def test_symmetrize_returns_a_symmetric_input_uncopied():
     assert la.symmetrize(a) is a
 
 
-def test_symmetrize_averages_a_zero_of_the_other_sign():
-    # Equal as numbers but not bit for bit: the average sets both to +0.0.
-    a = np.array([[1.0, -0.0], [0.0, 1.0]])
-    s = la.symmetrize(a)
-    assert s is not a
-    assert s.tobytes() == np.eye(2).tobytes()
-    assert np.signbit(a[0, 1]) and not np.signbit(a[1, 0])
-    # An entry above half the float64 maximum is averaged without overflow.
-    big = la.symmetrize([[1e308, -0.0], [0.0, 1.0]])
-    assert big.tobytes() == np.array([[1e308, 0.0], [0.0, 1.0]]).tobytes()
+def test_symmetrize_returns_a_zero_of_the_other_sign_uncopied():
+    # Equal as numbers but not bit for bit: the matrix comes back as it is.
+    for big in (1.0, 1e308):
+        a = np.array([[big, -0.0], [0.0, 1.0]])
+        a.setflags(write=False)
+        assert la.symmetrize(a) is a
+        assert np.signbit(a[0, 1]) and not np.signbit(a[1, 0])
 
 
-def test_symmetrize_average_of_subnormals():
-    # Halving before the sum rounds each odd subnormal on its own, so the
-    # result may be one unit of 2^-1074 off the correctly rounded average.
+def test_symmetrize_rejects_asymmetric_subnormals():
+    # Any two different subnormals are a rejection (and any warning an error).
     unit = 5e-324
     steps = np.arange(-9, 10)
     for p in steps:
         for q in steps[steps != p]:
-            s = la.symmetrize(np.array([[0.0, p * unit], [q * unit, 0.0]]))
-            assert s[0, 1].tobytes() == s[1, 0].tobytes()
-            assert abs(s[0, 1] / unit - (p + q) / 2) <= 1.0
+            with pytest.raises(ValueError, match="not symmetric"):
+                la.symmetrize(np.array([[0.0, p * unit], [q * unit, 0.0]]))
 
 
 def test_extreme_eigenvalues_of_a_read_only_input():
@@ -287,11 +292,12 @@ def test_extreme_eigenvalues_structured():
     a = rng.standard_normal((40, 40))
     q = la.gram(rng.standard_normal((30, 30)))
     basis = np.linalg.eigh(q)[1]
-    # b'cb carries rounding-level asymmetry (1.1e-15); scaled by 1e6 it is
-    # 1.2e-9, which passes only because the check is relative to max|z|.
+    # Products carry rounding-level asymmetry, so those two cases are averaged
+    # with their transposes here: the average is symmetric bit for bit.
     rng0 = np.random.default_rng(0)
     b, c = rng0.standard_normal((5, 5)), rng0.standard_normal((5, 5))
     bcb = b.T @ (c + c.T) @ b
+    spread = (basis * np.repeat([1.0, 4.0, 9.0], 10)) @ basis.T
     cases = [
         np.array([[3.5]]),
         np.array([[-2.0]]),
@@ -302,7 +308,7 @@ def test_extreme_eigenvalues_structured():
         # Zero off-diagonals split the tridiagonal into blocks.
         np.block([[np.array([[2.0, 1.0], [1.0, 2.0]]), np.zeros((2, 2))],
                   [np.zeros((2, 2)), np.array([[7.0, 0.5], [0.5, -3.0]])]]),
-        la.symmetrize((basis * np.repeat([1.0, 4.0, 9.0], 10)) @ basis.T),
+        0.5 * (spread + spread.T),
         a + a.T,
         -la.gram(rng.standard_normal((20, 10))),
         1e-200 * np.array([[2.0, 1.0], [1.0, 2.0]]),
@@ -310,7 +316,7 @@ def test_extreme_eigenvalues_structured():
         # Entries at or above 2^1023: a sum of two of them overflows.
         np.array([[1e308]]),
         np.diag([1e308, 1.0]),
-        1e6 * bcb,
+        1e6 * (0.5 * (bcb + bcb.T)),
         # Shifts that equal diagonal entries exactly, at n = 256.
         np.eye(256),
         np.diag(np.repeat([2.0, 5.0], 128)),
@@ -409,12 +415,25 @@ def test_sturm_counts_divide_once_per_nonzero_e2(monkeypatch):
 def test_extreme_eigenvalues_rejects_asymmetric():
     with pytest.raises(ValueError, match="not symmetric"):
         la.extreme_eigenvalues(np.array([[1.0, 2.0], [2.1, 3.0]]))
-    # The tolerance is relative to max|z|, so the same matrix scaled down is
-    # still rejected.
+    # The check is exact, so the same matrix scaled down is still rejected.
     with pytest.raises(ValueError, match="not symmetric"):
         la.extreme_eigenvalues(1e-20 * np.array([[1.0, 2.0], [2.1, 3.0]]))
     with pytest.raises(ValueError, match="square"):
         la.extreme_eigenvalues(np.ones((2, 3)))
+
+
+def test_extreme_eigenvalues_validates_once(monkeypatch):
+    # One as_matrix call, the one inside symmetrize, before the scale.
+    calls = []
+    as_matrix = la.as_matrix
+
+    def counting_as_matrix(a):
+        calls.append(None)
+        return as_matrix(a)
+
+    monkeypatch.setattr(la, "as_matrix", counting_as_matrix)
+    assert la.extreme_eigenvalues(np.diag([3.0, 1.0])) == (1.0, 3.0)
+    assert len(calls) == 1
 
 
 def _spectral_norm(a):

@@ -183,6 +183,13 @@ def test_pipeline_config_rejects_a_scale_kind_that_is_not_a_member(kind):
         PipelineConfig(scale_kind=kind)
 
 
+@pytest.mark.parametrize("inversion", ["x", None, {"epsilon": 1e-6}])
+def test_pipeline_config_rejects_an_inversion_that_is_not_a_config(inversion):
+    # None would silently mean the default, and "x" fail later in solve_transform.
+    with pytest.raises(ValueError, match="inversion must be an InversionConfig"):
+        PipelineConfig(inversion=inversion)
+
+
 def test_single_column_trace_scale_stalls():
     # alpha1 = 2 / trace puts the only eigenvalue of alpha * X'X at exactly 2.
     x = np.array([[1.0], [2.0], [3.0]])

@@ -5,7 +5,7 @@ import pytest
 
 import lsqmatch.inverter as sc
 from lsqmatch.generate import MoreToraldoSpec, more_toraldo, uniform_pattern
-from lsqmatch.linalg import gram
+from lsqmatch.linalg import extreme_eigenvalues, gram
 
 OPTIMAL = sc.ScaleFactorKind.OPTIMAL
 TRACE = sc.ScaleFactorKind.TRACE
@@ -95,6 +95,24 @@ def test_scale_factor_dispatch():
     assert sc.scale_factor(mt, OPTIMAL, (1.0, 64.0)) == 2.0 / 65.0
     with pytest.raises(ValueError, match="not positive definite"):
         sc.scale_factor(np.zeros((3, 3)), OPTIMAL)
+
+
+def test_scale_denominator_overflow_is_rejected():
+    """A denominator beyond the float64 range is an error, not alpha = 0, and no warning."""
+    big = np.diag([1e308, 1e308])
+    for kind in (OPTIMAL, TRACE, GERSHGORIN):
+        with pytest.raises(ValueError, match="overflows the float64 range"):
+            sc.scale_factor(big, kind)
+    # The top eigenvalue 1.9e308 is beyond the range: it reads inf, unwarned.
+    near = np.array([[1e308, 9e307], [9e307, 1e308]])
+    low, high = extreme_eigenvalues(near)
+    assert abs(low - 1e307) <= 1e-14 * 1e307 and high == math.inf
+    low, high = extreme_eigenvalues(-near)
+    assert low == -math.inf and abs(high + 1e307) <= 1e-14 * 1e307
+    with pytest.raises(ValueError, match="overflows the float64 range"):
+        sc.scale_factor(near, OPTIMAL)
+    with pytest.raises(ValueError, match="overflows the float64 range"):
+        sc.scale_factor(np.eye(2), OPTIMAL, (1.0, math.inf))
 
 
 def _spd_samples():
