@@ -78,20 +78,12 @@ POWER_STEPS = 10
 
 
 class InversionStatus(enum.Enum):
-    """Why the recurrence stopped."""
+    """Why the recurrence stopped; a non-finite residual is DIVERGED."""
 
     CONVERGED = "converged"
     HIT_CAP = "hit_cap"
     DIVERGED = "diverged"
     STALLED = "stalled"
-
-
-class DivergenceError(RuntimeError):
-    """Iterates left the floating-point range — the input was badly scaled."""
-
-    def __init__(self, iteration: int):
-        super().__init__(f"non-finite values in inversion iterate at iteration {iteration}")
-        self.iteration = iteration
 
 
 @dataclass(frozen=True)
@@ -159,7 +151,9 @@ def invert(a, cfg: InversionConfig | None = None, self_scaled=False) -> Inversio
     gain, so the stall and divergence rules read as in the plain run.
 
     :func:`_stop_status` decides from the residual history when the run
-    stops and why.
+    stops and why.  Every input that passes validation gets a report: an
+    iterate that leaves the float64 range gives a non-finite residual, a
+    DIVERGED stop, and no floating-point warning.
     """
     if cfg is None:
         cfg = InversionConfig()
@@ -174,46 +168,47 @@ def invert(a, cfg: InversionConfig | None = None, self_scaled=False) -> Inversio
     x = np.full(n, 1.0 / math.sqrt(n))
     y = np.empty(n)
     history = []
-    for t in itertools.count():
-        if t:
-            np.dot(v, a, out=p)
-        # P becomes the residual R = I - V A, with U's diagonal kept aside;
-        # 0.0 - P keeps +0.0 off the diagonal exactly as 2I - P does.
-        np.subtract(2.0, p_diag, out=u_diag)
-        np.subtract(0.0, p, out=p)
-        np.subtract(u_diag, 1.0, out=p_diag)
-        r = np.abs(p, out=w).max()
-        history.append(r)
-        status = _stop_status(history, eps, max_iter)
-        if status is not None:
-            return InversionReport(v, t, np.array(history), status)
-        gain = _gain(p, r, x, y) if self_scaled and r < 1.0 else 1.0
-        p_diag[:] = u_diag
-        if gain != 1.0:
-            p *= gain
-        if t:
-            np.dot(p, v, out=w)
-            v, w = w, v
-        else:
-            v, p = p, v
-            p_diag = p.reshape(-1)[:: n + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in itertools.count():
+            if t:
+                np.dot(v, a, out=p)
+            # P becomes the residual R = I - V A, with U's diagonal kept aside;
+            # 0.0 - P keeps +0.0 off the diagonal exactly as 2I - P does.
+            np.subtract(2.0, p_diag, out=u_diag)
+            np.subtract(0.0, p, out=p)
+            np.subtract(u_diag, 1.0, out=p_diag)
+            r = np.abs(p, out=w).max()
+            history.append(r)
+            status = _stop_status(history, eps, max_iter)
+            if status is not None:
+                return InversionReport(v, t, np.array(history), status)
+            gain = _gain(p, r, x, y) if self_scaled and r < 1.0 else 1.0
+            p_diag[:] = u_diag
+            if gain != 1.0:
+                p *= gain
+            if t:
+                np.dot(p, v, out=w)
+                v, w = w, v
+            else:
+                v, p = p, v
+                p_diag = p.reshape(-1)[:: n + 1]
 
 
 def _stop_status(history, eps, max_iter) -> InversionStatus | None:
     """Why the run stops after the residuals ``history``, or None to go on.
 
-    ``history[t]`` is max|I - V_t A|.  The status is CONVERGED when the last
-    residual is below ``eps`` (at t = 0 that tests I - A itself), HIT_CAP
-    after ``max_iter`` updates, and, once the residual is at least 1 and has
-    not dropped for three updates in a row, DIVERGED if it rose strictly
-    above 1 in each of them, else STALLED.  A residual at or above 1 means A
-    has an eigenvalue outside (0, 2), for example a single-column Gram matrix
-    under the trace scale factor (see :func:`scale_factor`).  A non-finite
-    last residual raises :class:`DivergenceError`.
+    ``history[t]`` is max|I - V_t A|.  The status is DIVERGED when the last
+    residual is not finite, CONVERGED when it is below ``eps`` (at t = 0
+    that tests I - A itself), HIT_CAP after ``max_iter`` updates, and, once
+    the residual is at least 1 and has not dropped for three updates in a
+    row, DIVERGED if it rose strictly above 1 in each of them, else STALLED.
+    A residual at or above 1 means A has an eigenvalue outside (0, 2), for
+    example a single-column Gram matrix under the trace scale factor (see
+    :func:`scale_factor`).
     """
     h = history[-4:]
     if not math.isfinite(h[-1]):
-        raise DivergenceError(len(history) - 1)
+        return InversionStatus.DIVERGED
     if h[-1] < eps:
         return InversionStatus.CONVERGED
     if len(history) > max_iter:

@@ -102,7 +102,8 @@ def solve_transform(x, m, config: PipelineConfig | None = None) -> MatchResult:
     Raises :class:`InversionStalledError` when alpha1 puts a one-column X'X at 2,
     :class:`IterationCapError` when the inversion reaches ``max_iterations``,
     :class:`SingularSystemError` when X'X is not positive definite or the
-    inversion of a wider X stalls or diverges, and ``ValueError`` when T overflows.
+    inversion of a wider X stalls or diverges (alpha X'X has its spectrum in
+    (0, 2], so no residual is non-finite), and ``ValueError`` when T overflows.
     """
     if config is None:
         config = PipelineConfig()

@@ -8,14 +8,15 @@ bit-for-bit.  Lines end with ``\\n``.
 Reading accepts more than writing produces: blank lines anywhere, any run of
 whitespace between values, and ``\\r\\n`` or ``\\r`` line ends.  The header
 is read in Python; the data lines go through numpy's C text reader
-(``np.loadtxt``) in one call.  Only when that reader fails, or its shape
-disagrees with the header, are the lines scanned again, to name the first
-faulty line in the error; a byte outside ASCII has ``open_ascii`` read the
-file again as bytes, to name its line.
+(``np.loadtxt``) in one call.  Only when that reader fails, its shape
+disagrees with the header or it reads a non-finite value are the lines
+scanned again, to name the first faulty line in the error; a byte outside
+ASCII has ``open_ascii`` read the file again as bytes, to name its line.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from contextlib import contextmanager
@@ -89,13 +90,10 @@ def _read_matrix(fh, where: str) -> np.ndarray:
             data = np.loadtxt(fh, dtype=np.float64, ndmin=2, comments=None)
     except ValueError:
         data = None
-    if data is None or data.shape != (rows, cols):
+    if data is None or data.shape != (rows, cols) or not np.isfinite(data).all():
         fh.seek(0)
         raise ValueError(where + _first_fault(fh, header_line, rows, cols))
-    try:
-        return as_matrix(data)
-    except ValueError as exc:
-        raise ValueError(f"{where}{exc}") from None
+    return data
 
 
 def _read_header(fh, where: str) -> tuple[int, int, int]:
@@ -132,6 +130,8 @@ def _first_fault(fh, header_line: int, rows: int, cols: int) -> str:
         for token in tokens:
             if not _is_number(token):
                 return f"line {number}: cannot read {token!r} as a number"
+            if not math.isfinite(float(token)):
+                return f"line {number}: {token!r} is not a finite number"
     if seen < rows:
         return f"line {number}: input ends after {seen} of {rows} data rows"
     return "cannot read the data lines"

@@ -1,4 +1,5 @@
 import argparse
+import builtins
 import pkgutil
 import re
 from itertools import takewhile
@@ -44,6 +45,14 @@ def test_readme_csv_schemas_match_tables():
     text = README.read_text(encoding="utf-8")
     assert re.search(r"^Records:\s+`([^`]*)`", text, re.M).group(1) == bench.RECORDS.header
     assert re.search(r"\bFits:\s+`([^`]*)`", text).group(1) == bench.FITS.header
+
+
+def test_readme_errors_are_the_exported_ones():
+    # A removed exception class must not linger in README, nor a new one go unnamed.
+    named = set(re.findall(r"`(\w+Error)`", README.read_text(encoding="utf-8")))
+    assert {e for e in named if not hasattr(builtins, e)} == {
+        e for e in lsqmatch.__all__ if e.endswith("Error")
+    }
 
 
 def test_package_does_not_use_numpy_linalg():

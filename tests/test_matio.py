@@ -64,8 +64,10 @@ def test_parse_errors(load_text):
         load_text("1 2\n1.0 2.0 # note\n")  # '#' starts no comment
     with pytest.raises(ValueError, match=rf"^{where}line 2: cannot read '1_0' as a number$"):
         load_text("1 2\n1_0 2.0\n")  # float() accepts it; the C reader does not
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=rf"^{where}line 2: 'nan' is not a finite number$"):
         load_text("1 2\n1.0 nan\n")
+    with pytest.raises(ValueError, match=rf"^{where}line 4: '1e999' is not a finite number$"):
+        load_text("2 2\n1 2\n\n3 1e999\n")  # overflows to inf in the C reader
 
 
 def test_load_errors_name_the_file(tmp_path):
@@ -77,7 +79,7 @@ def test_load_errors_name_the_file(tmp_path):
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 1: input ends after 0"):
         load_matrix(path)
     path.write_text("1 2\n1.0 inf\n")
-    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: matrix entries must be"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 2: 'inf' is not a finite"):
         load_matrix(path)
     # A non-ASCII byte in the first decoded chunk, then one past it (the C
     # reader's path), counted by the same universal-newline lines.
