@@ -11,19 +11,17 @@ The package exports the end-to-end API; the building blocks are imported
 from their submodules (``lsqmatch.linalg``, ``lsqmatch.inverter``, ...).
 """
 
-from .inverter import InversionConfig, InversionStatus, ScaleFactorKind, invert
-from .matching import InversionStalledError, IterationCapError, MatchResult, PipelineConfig, SingularSystemError, solve_transform
+from .inverter import InversionStatus, ScaleFactorKind, invert
+from .matching import InversionStalledError, IterationCapError, MatchResult, SingularSystemError, solve_transform
 from .matio import load_matrix, save_matrix
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "InversionConfig",
     "InversionStalledError",
     "InversionStatus",
     "IterationCapError",
     "MatchResult",
-    "PipelineConfig",
     "ScaleFactorKind",
     "SingularSystemError",
     "invert",

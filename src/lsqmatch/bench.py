@@ -123,7 +123,7 @@ def _run_trials(grid, build, kinds, trials_per_cell, seed) -> list[TrialRecord]:
     and ``build(cell, seed)`` gives its ``(family, n, m, kappa, extremes, z)``,
     ``extremes`` being z's known ``(low, high)`` spectrum or None.  A matrix
     with no scale factor (a zero trace, say) gives a 0-iteration, non-converged
-    record.  Every trial inverts under ``InversionConfig()``, as fit_laws assumes.
+    record.  Every trial inverts at ``invert``'s default epsilon, as fit_laws assumes.
     """
     if not grid:
         raise ValueError("grid must not be empty")

@@ -11,8 +11,8 @@ import sys
 
 from . import bench
 from .generate import MoreToraldoSpec, more_toraldo, uniform_pattern
-from .inverter import InversionConfig, ScaleFactorKind
-from .matching import PipelineConfig, solve_transform
+from .inverter import EPSILON, ScaleFactorKind
+from .matching import SCALE_KIND, solve_transform
 from .matio import format_matrix, load_matrix, open_ascii, save_matrix
 
 _ALPHA_TOKENS = [k.value for k in ScaleFactorKind]
@@ -48,9 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--x", required=True, help="source pattern file")
     solve.add_argument("--m", required=True, help="target pattern file")
-    solve.add_argument("--alpha", choices=_ALPHA_TOKENS, default=PipelineConfig.scale_kind.value)
-    solve.add_argument("--eps", type=float, default=InversionConfig.epsilon)
-    solve.add_argument("--max-iter", type=int, default=InversionConfig.max_iterations)
+    solve.add_argument("--alpha", choices=_ALPHA_TOKENS, default=SCALE_KIND.value)
+    solve.add_argument("--eps", type=float, default=EPSILON)
 
     # --- bench -----------------------------------------------------------
     bench_p = top.add_parser("bench", help="benchmark suites and law fits")
@@ -92,11 +91,7 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     x = load_matrix(args.x)
     m = load_matrix(args.m)
-    config = PipelineConfig(
-        scale_kind=ScaleFactorKind(args.alpha),
-        inversion=InversionConfig(epsilon=args.eps, max_iterations=args.max_iter),
-    )
-    result = solve_transform(x, m, config)
+    result = solve_transform(x, m, scale_kind=ScaleFactorKind(args.alpha), epsilon=args.eps)
     sys.stdout.write(format_matrix(result.transform))
     sys.stderr.write(
         f"iterations={result.inversion.iterations} ops={result.op_count} "

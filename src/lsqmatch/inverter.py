@@ -20,7 +20,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,8 +43,9 @@ def scale_factor(
     The kinds differ only in the denominator d: alpha0 takes lambda_min +
     lambda_max, from ``extremes``, a known ``(low, high)`` spectrum of ``z``,
     or else from :func:`extreme_eigenvalues`; alpha1 takes trace(Z); alpha2
-    takes min z_ii + max_i sum_j |z_ij|.  Raises ``ValueError`` when ``z`` is
-    not positive definite (d is not positive or the extremes are not
+    takes min z_ii + max_i sum_j |z_ij|.  Raises ``TypeError`` when ``kind``
+    is not a :class:`ScaleFactorKind`, and ``ValueError`` when ``z`` is not
+    positive definite (d is not positive or the extremes are not
     0 < low <= high) and when d overflows, where alpha would read 0.
 
     For a positive definite n x n ``z`` with n >= 2, no kind puts an
@@ -61,11 +61,13 @@ def scale_factor(
             d = float(np.trace(z))
         elif kind is ScaleFactorKind.GERSHGORIN:
             d = float(np.diag(z).min()) + float(np.abs(z).sum(axis=1).max())
-        else:
+        elif kind is ScaleFactorKind.OPTIMAL:
             low, high = extreme_eigenvalues(z) if extremes is None else extremes
             if not 0.0 < low <= high:
                 raise ValueError(f"matrix is not positive definite: extremes ({low}, {high})")
             d = high + low
+        else:
+            raise TypeError(f"kind must be a ScaleFactorKind, got {kind!r}")
     if not d > 0.0:
         raise ValueError(f"matrix is not positive definite: scale denominator = {d}")
     if d == math.inf:
@@ -76,6 +78,12 @@ def scale_factor(
 #: Matrix-vector power steps per self-scaled update that refresh the estimate of ||I - V A||_2.
 POWER_STEPS = 10
 
+#: Default stopping threshold on max|I - V A|.
+EPSILON = 1e-6
+
+#: Updates after which a run that has not converged stops with HIT_CAP.
+MAX_ITERATIONS = 200
+
 
 class InversionStatus(enum.Enum):
     """Why the recurrence stopped; a non-finite residual is DIVERGED."""
@@ -84,25 +92,6 @@ class InversionStatus(enum.Enum):
     HIT_CAP = "hit_cap"
     DIVERGED = "diverged"
     STALLED = "stalled"
-
-
-@dataclass(frozen=True)
-class InversionConfig:
-    """Stopping threshold (entrywise, on I - V A) and iteration cap."""
-
-    epsilon: float = 1e-6
-    max_iterations: int = 200
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        cap = self.max_iterations
-        try:
-            operator.index(cap)
-        except TypeError:
-            raise ValueError(f"max_iterations must be an integer, got {cap!r}") from None
-        if cap < 1:
-            raise ValueError(f"max_iterations must be at least 1, got {cap}")
 
 
 @dataclass
@@ -128,14 +117,16 @@ class InversionReport:
         return float(self.residual_history[-1])
 
 
-def invert(a, cfg: InversionConfig | None = None, self_scaled=False) -> InversionReport:
+def invert(a, epsilon=EPSILON, self_scaled=False) -> InversionReport:
     """Run the recurrence V0 = I; U = 2I - V A; V <- U V on symmetric ``a``.
 
-    The caller rescales ``a`` so its spectrum lies in (0, 2).  ``a`` is
-    validated by :func:`symmetrize`, which makes no copy, and then only
-    read.  V and two n x n work buffers are allocated once per call, so an
-    update allocates no n x n array, and the first update makes no product,
-    since V0 A is A and U0 V0 is U0.  Every entry goes through the same
+    The caller rescales ``a`` so its spectrum lies in (0, 2); the run stops
+    once max|I - V A| is below ``epsilon``, which must lie in (0, 1), or
+    after the fixed cap of ``MAX_ITERATIONS`` updates.  ``a`` is validated
+    by :func:`symmetrize`, which makes no copy, and then only read.  V and
+    two n x n work buffers are allocated once per call, so an update
+    allocates no n x n array, and the first update makes no product, since
+    V0 A is A and U0 V0 is U0.  Every entry goes through the same
     floating-point operations as ``2.0 * eye - v @ a``, so the plain run's
     iterates and residuals are bit-identical to that formulation.
 
@@ -155,10 +146,9 @@ def invert(a, cfg: InversionConfig | None = None, self_scaled=False) -> Inversio
     iterate that leaves the float64 range gives a non-finite residual, a
     DIVERGED stop, and no floating-point warning.
     """
-    if cfg is None:
-        cfg = InversionConfig()
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     a = symmetrize(a)
-    eps, max_iter = float(cfg.epsilon), cfg.max_iterations
     n = a.shape[0]
     v = np.eye(n)
     p = a.copy()
@@ -179,7 +169,7 @@ def invert(a, cfg: InversionConfig | None = None, self_scaled=False) -> Inversio
             np.subtract(u_diag, 1.0, out=p_diag)
             r = np.abs(p, out=w).max()
             history.append(r)
-            status = _stop_status(history, eps, max_iter)
+            status = _stop_status(history, epsilon, MAX_ITERATIONS)
             if status is not None:
                 return InversionReport(v, t, np.array(history), status)
             gain = _gain(p, r, x, y) if self_scaled and r < 1.0 else 1.0
@@ -199,9 +189,10 @@ def _stop_status(history, eps, max_iter) -> InversionStatus | None:
 
     ``history[t]`` is max|I - V_t A|.  The status is DIVERGED when the last
     residual is not finite, CONVERGED when it is below ``eps`` (at t = 0
-    that tests I - A itself), HIT_CAP after ``max_iter`` updates, and, once
-    the residual is at least 1 and has not dropped for three updates in a
-    row, DIVERGED if it rose strictly above 1 in each of them, else STALLED.
+    that tests I - A itself), HIT_CAP after ``max_iter`` updates (``invert``
+    passes ``MAX_ITERATIONS``), and, once the residual is at least 1 and has
+    not dropped for three updates in a row, DIVERGED if it rose strictly
+    above 1 in each of them, else STALLED.
     A residual at or above 1 means A has an eigenvalue outside (0, 2), for
     example a single-column Gram matrix under the trace scale factor (see
     :func:`scale_factor`).

@@ -9,17 +9,12 @@ hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .inverter import (
-    InversionConfig,
-    InversionReport,
-    InversionStatus,
-    ScaleFactorKind,
-    invert,
-    scale_factor,
+    EPSILON, InversionReport, InversionStatus, ScaleFactorKind, invert, scale_factor
 )
 from .linalg import as_matrix, binary_exponent, gram
 
@@ -43,19 +38,8 @@ class IterationCapError(RuntimeError):
 #: The cost model's fixed time per matrix operation, in milliseconds.
 MS_PER_OP = 5.0
 
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """How to scale and invert in a matching run."""
-
-    scale_kind: ScaleFactorKind = ScaleFactorKind.GERSHGORIN
-    inversion: InversionConfig = field(default_factory=InversionConfig)
-
-    def __post_init__(self):
-        if not isinstance(self.scale_kind, ScaleFactorKind):
-            raise ValueError(f"scale_kind must be a ScaleFactorKind, got {self.scale_kind!r}")
-        if not isinstance(self.inversion, InversionConfig):
-            raise ValueError(f"inversion must be an InversionConfig, got {self.inversion!r}")
+#: Default scale factor of a matching run.
+SCALE_KIND = ScaleFactorKind.GERSHGORIN
 
 
 @dataclass
@@ -94,19 +78,20 @@ def estimate_time_ms(ops: int) -> float:
     return ops * MS_PER_OP
 
 
-def solve_transform(x, m, config: PipelineConfig | None = None) -> MatchResult:
+def solve_transform(x, m, *, scale_kind=SCALE_KIND, epsilon=EPSILON) -> MatchResult:
     """Best least-squares T with X T ~ M, via the rescaled, self-scaled recurrence.
 
     ``x`` is the source pattern (rows are observations), ``m`` the target with
     the same row count; ``x`` must have at least as many rows as columns.
+    ``scale_kind`` picks alpha and ``epsilon`` is :func:`invert`'s threshold.
     Raises :class:`InversionStalledError` when alpha1 puts a one-column X'X at 2,
-    :class:`IterationCapError` when the inversion reaches ``max_iterations``,
-    :class:`SingularSystemError` when X'X is not positive definite or the
-    inversion of a wider X stalls or diverges (alpha X'X has its spectrum in
-    (0, 2], so no residual is non-finite), and ``ValueError`` when T overflows.
+    :class:`IterationCapError` when the inversion reaches its cap of
+    ``inverter.MAX_ITERATIONS`` updates, :class:`SingularSystemError` when X'X
+    is not positive definite or the inversion of a wider X stalls or diverges
+    (alpha X'X has its spectrum in (0, 2], so no residual is non-finite),
+    ``TypeError`` when ``scale_kind`` is not a :class:`ScaleFactorKind`, and
+    ``ValueError`` when T overflows or ``epsilon`` is outside (0, 1).
     """
-    if config is None:
-        config = PipelineConfig()
     x = as_matrix(x)
     m = as_matrix(m)
     if x.shape[0] != m.shape[0]:
@@ -128,11 +113,11 @@ def solve_transform(x, m, config: PipelineConfig | None = None) -> MatchResult:
         m = np.ldexp(m, -km)
     z = gram(x)
     try:
-        alpha = scale_factor(z, config.scale_kind)
+        alpha = scale_factor(z, scale_kind)
     except ValueError as exc:
         raise SingularSystemError(f"singular system: {exc}") from exc
 
-    report = invert(z * alpha, config.inversion, self_scaled=True)
+    report = invert(z * alpha, epsilon, self_scaled=True)
     if report.status is InversionStatus.HIT_CAP:
         raise IterationCapError(
             f"inversion hit the iteration cap of {report.iterations} iterations "
@@ -141,7 +126,7 @@ def solve_transform(x, m, config: PipelineConfig | None = None) -> MatchResult:
     # A stall is singular unless alpha1 put a one-column Z at 2 (see scale_factor).
     if report.status is InversionStatus.STALLED and x.shape[1] == 1:
         raise InversionStalledError(
-            f"inversion stalled under scale factor {config.scale_kind.value}: "
+            f"inversion stalled under scale factor {scale_kind.value}: "
             f"residual {report.final_residual:.3e} did not drop below 1 in "
             f"{report.iterations} iterations; the largest eigenvalue of "
             f"alpha * X'X is {alpha * z[0, 0]:.6g}, not below 2"

@@ -1,7 +1,8 @@
-"""Closed-form oracles that the tests compare the package against."""
+"""Closed-form oracles that the tests compare the package against, and a capped input."""
 
 import numpy as np
 
+from lsqmatch.generate import derive_seed, uniform_pattern
 from lsqmatch.linalg import symmetrize
 
 #: Largest exponent accepted by :func:`neumann_partial_sum` (2^t - 1 products).
@@ -42,3 +43,15 @@ def self_scaled_count(rho: float, eps: float) -> int:
         rho = rho * rho / (2.0 - rho * rho)
         count += 1
     return count
+
+
+def near_dependent_pattern(n: int, seed: int) -> np.ndarray:
+    """A 3n x n uniform pattern whose column 0 is column 1 plus 1e-6 times a fresh column.
+
+    X has full rank, but kappa(X'X) is about 1e12, so rounding keeps
+    max|I - V A| near 1e-4: under every scale factor the self-scaled
+    inversion stops at the 200-update cap.
+    """
+    x = uniform_pattern(3 * n, n, seed)
+    x[:, 0] = x[:, 1] + 1e-6 * uniform_pattern(3 * n, 1, derive_seed(seed, 1))[:, 0]
+    return x

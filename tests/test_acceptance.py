@@ -10,22 +10,18 @@ import math
 import time
 
 import numpy as np
+import pytest
 from oracles import neumann_partial_sum
 
 from lsqmatch.cli import main as cli_main
 from lsqmatch.generate import MoreToraldoSpec, derive_seed, mix64, more_toraldo, uniform_pattern
-from lsqmatch.inverter import (
-    InversionConfig,
-    ScaleFactorKind,
-    invert,
-    scale_factor,
-)
+from lsqmatch.inverter import ScaleFactorKind, invert, scale_factor
 from lsqmatch.linalg import gram
-from lsqmatch.matching import PipelineConfig, estimate_time_ms, op_count, solve_transform
+from lsqmatch.matching import estimate_time_ms, op_count, solve_transform
 
 LAW_GRID = [(n, float(2**k)) for n in (16, 64) for k in (6, 10, 20)]
 TRIALS = 10
-#: Stopping threshold of the law checks (the ``InversionConfig`` default).
+#: Stopping threshold of the law checks (``inverter.EPSILON``, the default).
 LAW_EPSILON = 1e-6
 
 
@@ -146,7 +142,7 @@ def test_criterion_05_cost_model():
 
     x, _ = more_toraldo(MoreToraldoSpec(2, 2.0), derive_seed(5, 0))
     m = uniform_pattern(2, 2, derive_seed(5, 1))
-    result = solve_transform(x, m, PipelineConfig(scale_kind=ScaleFactorKind.OPTIMAL))
+    result = solve_transform(x, m, scale_kind=ScaleFactorKind.OPTIMAL)
     assert result.inversion.converged
     assert result.inversion.iterations == 4
     assert result.op_count == 15
@@ -166,8 +162,9 @@ def _iterate_to(a, t):
     """The process iterate after exactly t update steps (identity at t = 0)."""
     if t == 0:
         return np.eye(a.shape[0])
-    cfg = InversionConfig(epsilon=1e-300, max_iterations=t)
-    return invert(a, cfg).inverse
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("lsqmatch.inverter.MAX_ITERATIONS", t)
+        return invert(a, epsilon=1e-300).inverse
 
 
 def test_criterion_06_partial_sum_oracle():
@@ -188,7 +185,7 @@ def test_criterion_07_residual_contraction_law():
     for index in range(20):
         a, kappa = _rescaled_test_matrix(index)
         contraction = (kappa - 1.0) / (kappa + 1.0)
-        report = invert(a, InversionConfig(epsilon=1e-6, max_iterations=200))
+        report = invert(a, epsilon=1e-6)
         assert report.converged
         identity = np.eye(a.shape[0])
         for t in range(report.iterations + 1):
@@ -246,7 +243,6 @@ def _gaussian_solve(a, b):
 
 def test_criterion_09_solver_vs_elimination_oracle():
     """solve_transform matches a pivoted elimination solve of the normal equations."""
-    config = PipelineConfig(inversion=InversionConfig(epsilon=1e-10, max_iterations=200))
     for i in range(50):
         n = (4, 8)[i % 2]
         ratio = (2, 8)[(i // 2) % 2]
@@ -257,7 +253,7 @@ def test_criterion_09_solver_vs_elimination_oracle():
             m = x @ t0
         else:
             m = uniform_pattern(rows, 3, derive_seed(17, 2 * i + 1))
-        result = solve_transform(x, m, config)
+        result = solve_transform(x, m, epsilon=1e-10)
         oracle = _gaussian_solve(gram(x), x.T @ m)
         assert np.abs(result.transform - oracle).max() < 1e-6
         if i % 2 == 0:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from oracles import near_dependent_pattern
+
 import lsqmatch.bench as bench
 from lsqmatch.cli import build_parser, main
 from lsqmatch.generate import MoreToraldoSpec, more_toraldo, uniform_pattern
-from lsqmatch.matching import MS_PER_OP
+from lsqmatch.inverter import EPSILON
+from lsqmatch.matching import MS_PER_OP, SCALE_KIND
 from lsqmatch.matio import format_matrix, load_matrix, save_matrix
 
 
@@ -26,6 +29,7 @@ def test_unknown_command_exits_one(capsys):
         ["solve", "--x", "x.txt", "--m", "m.txt", "--ms-per-op", "2.0"],
         ["bench", "mt", "--out", "r.csv", "--eps", "1e-3"],
         ["bench", "table1", "--out", "r.csv", "--max-iter", "5"],
+        ["solve", "--x", "x.txt", "--m", "m.txt", "--max-iter", "2"],
     ],
 )
 def test_removed_flags_exit_one(argv, capsys):
@@ -37,9 +41,9 @@ def test_parser_defaults():
     args = build_parser().parse_args(
         ["solve", "--x", "a.txt", "--m", "b.txt"]
     )
-    assert args.alpha == "alpha2"
-    assert args.eps == 1e-6
-    assert args.max_iter == 200
+    assert args.alpha == SCALE_KIND.value == "alpha2"
+    assert args.eps == EPSILON == 1e-6
+    assert not hasattr(args, "max_iter")
 
 
 def test_gen_mt_matches_library(tmp_path):
@@ -127,13 +131,13 @@ def test_solve_stalled_inversion_exits_one(tmp_path, capsys):
 
 def test_solve_iteration_cap_exits_one(tmp_path, capsys):
     x_path, m_path = tmp_path / "x.txt", tmp_path / "m.txt"
-    save_matrix(x_path, uniform_pattern(64, 8, 1))
-    save_matrix(m_path, uniform_pattern(64, 2, 2))
+    save_matrix(x_path, near_dependent_pattern(3, 0))
+    save_matrix(m_path, uniform_pattern(9, 2, 2))
 
-    rc = main(["solve", "--x", str(x_path), "--m", str(m_path), "--max-iter", "2"])
+    rc = main(["solve", "--x", str(x_path), "--m", str(m_path)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: inversion hit the iteration cap")
+    assert err.startswith("error: inversion hit the iteration cap of 200 iterations")
     assert "singular" not in err
 
 

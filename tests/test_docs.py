@@ -18,16 +18,15 @@ def test_readme_module_list_matches_package():
     assert bullets == {m.name for m in pkgutil.iter_modules(lsqmatch.__path__)}
 
 
-def _parser_flags(parser, path=()):
-    """{subcommand path: its long options} for every leaf parser below ``parser``."""
+def _leaf_parsers(parser, path=()):
+    """{subcommand path: its parser} for every leaf parser below ``parser``."""
     subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     if not subparsers:
-        options = {o for a in parser._actions for o in a.option_strings}
-        return {path: {o for o in options if o.startswith("--")} - {"--help"}}
-    flags = {}
+        return {path: parser}
+    leaves = {}
     for name, sub in subparsers[0].choices.items():
-        flags.update(_parser_flags(sub, path + (name,)))
-    return flags
+        leaves.update(_leaf_parsers(sub, path + (name,)))
+    return leaves
 
 
 def test_readme_synopsis_matches_parser():
@@ -37,8 +36,20 @@ def test_readme_synopsis_matches_parser():
     for command in re.split(r"\n(?=lsqmatch )", block.strip()):
         words = command.split()
         path = tuple(takewhile(lambda w: not w.startswith(("-", "[")), words[1:]))
-        synopsis[path] = set(re.findall(r"--[a-z][a-z-]*", command))
-    assert synopsis == _parser_flags(build_parser())
+        synopsis[path] = command
+    leaves = _leaf_parsers(build_parser())
+    assert synopsis.keys() == leaves.keys()
+    checked = set()
+    for path, command in synopsis.items():
+        actions = {o: a for a in leaves[path]._actions for o in a.option_strings}
+        flags = {o for o in actions if o.startswith("--")} - {"--help"}
+        assert set(re.findall(r"--[a-z][a-z-]*", command)) == flags, path
+        # A bracketed single value is the default: "[--eps 1e-6]" must read EPSILON.
+        for flag, value in re.findall(r"\[(--[a-z][a-z-]*) ([^]|\s]+)\]", command):
+            action = actions[flag]
+            assert (action.type or str)(value) == action.default, (path, flag, value)
+            checked.add(flag)
+    assert checked == {"--eps", "--trials", "--seed"}
 
 
 def test_readme_csv_schemas_match_tables():

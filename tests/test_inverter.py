@@ -7,7 +7,8 @@ from oracles import neumann_partial_sum
 
 from lsqmatch.generate import MoreToraldoSpec, derive_seed, mix64, more_toraldo
 from lsqmatch.inverter import (
-    InversionConfig,
+    EPSILON,
+    MAX_ITERATIONS,
     InversionStatus,
     ScaleFactorKind,
     invert,
@@ -36,20 +37,15 @@ def _spectral_norm(resid):
 
 def _iterate_to(a, t):
     """V_t extracted by capping the iteration count (threshold too small to hit)."""
-    return invert(a, InversionConfig(epsilon=1e-300, max_iterations=t)).inverse
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("lsqmatch.inverter.MAX_ITERATIONS", t)
+        return invert(a, epsilon=1e-300).inverse
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        InversionConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
-        InversionConfig(epsilon=1.0)
-    with pytest.raises(ValueError):
-        InversionConfig(epsilon=-0.5)
-    with pytest.raises(ValueError):
-        InversionConfig(max_iterations=0)
-    with pytest.raises(ValueError, match=r"max_iterations must be an integer, got 2\.5"):
-        InversionConfig(max_iterations=2.5)
+    for epsilon in (0.0, 1.0, -0.5, math.nan):
+        with pytest.raises(ValueError, match=f"epsilon must lie in \\(0, 1\\), got {epsilon}"):
+            invert(0.5 * np.eye(2), epsilon=epsilon)
 
 
 def test_identity_is_a_fixed_point_at_start():
@@ -85,19 +81,18 @@ def test_conditioned_two_by_two_stops_at_four():
 def test_report_invariants():
     for index in range(6):
         a, _ = _rescaled_test_matrix(index)
-        cfg = InversionConfig()
-        rep = invert(a, cfg)
+        rep = invert(a)
         assert rep.converged
         assert rep.residual_history.shape == (rep.iterations + 1,)
         assert rep.final_residual == rep.residual_history[-1]
-        assert rep.final_residual < cfg.epsilon
-        assert rep.iterations <= cfg.max_iterations
+        assert rep.final_residual < EPSILON
+        assert rep.iterations <= MAX_ITERATIONS
 
 
 def test_converged_fixed_point():
     a, _ = _rescaled_test_matrix(3)
     n = a.shape[0]
-    v = invert(a, InversionConfig(epsilon=1e-12)).inverse
+    v = invert(a, epsilon=1e-12).inverse
     again = (2.0 * np.eye(n) - v @ a) @ v
     assert np.abs(again - v).max() < 1e-10
 
@@ -182,7 +177,9 @@ def test_stall_aborts_early():
 
 def test_cap_hit_reports_nonconvergence():
     a, _ = _rescaled_test_matrix(1)
-    rep = invert(a, InversionConfig(epsilon=1e-300, max_iterations=4))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("lsqmatch.inverter.MAX_ITERATIONS", 4)
+        rep = invert(a, epsilon=1e-300)
     assert not rep.converged
     assert rep.status is InversionStatus.HIT_CAP
     assert rep.iterations == 4
@@ -191,7 +188,9 @@ def test_cap_hit_reports_nonconvergence():
 
 def test_cap_sizes_no_allocation():
     # A cap far beyond the address space costs nothing until updates run.
-    rep = invert(0.5 * np.eye(2), InversionConfig(max_iterations=10**15))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("lsqmatch.inverter.MAX_ITERATIONS", 10**15)
+        rep = invert(0.5 * np.eye(2))
     assert rep.status is InversionStatus.CONVERGED
     assert rep.iterations == 5
 

@@ -15,7 +15,6 @@ from oracles import self_scaled_count
 
 from lsqmatch.generate import MoreToraldoSpec, more_toraldo, uniform_pattern
 from lsqmatch.inverter import (
-    InversionConfig,
     InversionStatus,
     ScaleFactorKind,
     _stop_status,
@@ -48,7 +47,9 @@ def test_nonfinite_status():
 
 
 def test_cap_status():
-    rep = invert(0.5 * np.eye(2), InversionConfig(1e-300, 3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("lsqmatch.inverter.MAX_ITERATIONS", 3)
+        rep = invert(0.5 * np.eye(2), epsilon=1e-300)
     assert rep.status is InversionStatus.HIT_CAP
     assert rep.iterations == 3
     assert rep.residual_history.shape == (4,)
@@ -152,15 +153,16 @@ def _oracle_cases():
 
 @pytest.mark.parametrize("a, eps, max_iter", _oracle_cases())
 def test_newton_schulz_bit_identical_to_reference(a, eps, max_iter):
-    cfg = InversionConfig(eps, max_iter)
     if not np.isfinite(a).all():
         # Validation refuses it before the loop starts.
         with pytest.raises(ValueError, match="finite"):
-            invert(a, cfg)
+            invert(a, eps)
         return
     with np.errstate(over="ignore", invalid="ignore"):
         v_ref, hist_ref, iters_ref, status_ref = _reference_newton_schulz(a, eps, max_iter)
-    rep = invert(a, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("lsqmatch.inverter.MAX_ITERATIONS", max_iter)
+        rep = invert(a, eps)
     assert (rep.iterations, rep.status) == (iters_ref, status_ref)
     assert rep.residual_history.tobytes() == hist_ref.tobytes()
     assert rep.inverse.tobytes() == v_ref.tobytes()

@@ -1,20 +1,20 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import self_scaled_count
+from oracles import near_dependent_pattern, self_scaled_count
 
 from lsqmatch.generate import derive_seed, uniform_pattern
-from lsqmatch.inverter import InversionConfig, ScaleFactorKind, scale_factor
+from lsqmatch.inverter import EPSILON, ScaleFactorKind, scale_factor
 from lsqmatch.linalg import binary_exponent, gram
 from lsqmatch.matching import (
     InversionStalledError,
     IterationCapError,
     MatchResult,
-    PipelineConfig,
     SingularSystemError,
     estimate_time_ms,
     op_count,
@@ -42,9 +42,6 @@ def gaussian_solve(a, b):
     for row in range(n - 1, -1, -1):
         x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
     return x
-
-
-TIGHT = PipelineConfig(inversion=InversionConfig(epsilon=1e-10, max_iterations=200))
 
 
 def test_op_count_examples():
@@ -86,7 +83,7 @@ def test_recovers_known_transform():
 def test_matches_elimination_oracle():
     x = uniform_pattern(20, 4, 94)
     m = uniform_pattern(20, 3, 95)
-    res = solve_transform(x, m, TIGHT)
+    res = solve_transform(x, m, epsilon=1e-10)
     oracle = gaussian_solve(gram(x), x.T @ m)
     assert np.abs(res.transform - oracle).max() < 1e-6
 
@@ -105,8 +102,7 @@ def test_scale_kinds_agree_on_solution():
     m = uniform_pattern(30, 4, 97)
     results = {}
     for kind in ScaleFactorKind:
-        cfg = PipelineConfig(scale_kind=kind, inversion=InversionConfig(epsilon=1e-10))
-        results[kind] = solve_transform(x, m, cfg)
+        results[kind] = solve_transform(x, m, scale_kind=kind, epsilon=1e-10)
     base = results[ScaleFactorKind.OPTIMAL].transform
     for kind in (ScaleFactorKind.TRACE, ScaleFactorKind.GERSHGORIN):
         assert np.abs(results[kind].transform - base).max() < 1e-5
@@ -164,30 +160,24 @@ def test_singular_system_rejected():
         solve_transform(x, m)
     # A rank-1 X with two or more columns puts alpha1 * X'X's eigenvalues at 2
     # and 0 up to rounding: the zero eigenvalue, not the scale factor, is the fault.
-    trace = PipelineConfig(scale_kind=ScaleFactorKind.TRACE)
     for rank1 in (
         np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]),
         np.outer(uniform_pattern(8, 1, 5), [1.0, 2.0, 3.0]),
     ):
         with pytest.raises(SingularSystemError, match="singular system"):
-            solve_transform(rank1, rank1[:, :1], trace)
+            solve_transform(rank1, rank1[:, :1], scale_kind=ScaleFactorKind.TRACE)
     # The optimal factor sees a smallest eigenvalue of 0 up to rounding; the run diverges.
     with pytest.raises(SingularSystemError, match="singular system: inversion diverged"):
-        solve_transform(x, m, PipelineConfig(scale_kind=ScaleFactorKind.OPTIMAL))
+        solve_transform(x, m, scale_kind=ScaleFactorKind.OPTIMAL)
 
 
 @pytest.mark.parametrize("kind", ["alpha1", "alpha9", None, 1])
-def test_pipeline_config_rejects_a_scale_kind_that_is_not_a_member(kind):
+def test_solve_transform_rejects_a_scale_kind_that_is_not_a_member(kind):
     # A token is not a kind: "alpha1" would otherwise run the optimal factor.
-    with pytest.raises(ValueError, match=f"got {kind!r}"):
-        PipelineConfig(scale_kind=kind)
-
-
-@pytest.mark.parametrize("inversion", ["x", None, {"epsilon": 1e-6}])
-def test_pipeline_config_rejects_an_inversion_that_is_not_a_config(inversion):
-    # None would silently mean the default, and "x" fail later in solve_transform.
-    with pytest.raises(ValueError, match="inversion must be an InversionConfig"):
-        PipelineConfig(inversion=inversion)
+    # A TypeError is not worded as a singular system.
+    x, m = uniform_pattern(12, 3, 5), uniform_pattern(12, 2, 6)
+    with pytest.raises(TypeError, match=re.escape(f"kind must be a ScaleFactorKind, got {kind!r}")):
+        solve_transform(x, m, scale_kind=kind)
 
 
 def test_single_column_trace_scale_stalls():
@@ -195,17 +185,17 @@ def test_single_column_trace_scale_stalls():
     x = np.array([[1.0], [2.0], [3.0]])
     m = 2.0 * x
     with pytest.raises(InversionStalledError, match="stalled under scale factor alpha1") as info:
-        solve_transform(x, m, PipelineConfig(scale_kind=ScaleFactorKind.TRACE))
+        solve_transform(x, m, scale_kind=ScaleFactorKind.TRACE)
     assert "singular" not in str(info.value)
     assert "in 3 iterations" in str(info.value)
     for kind in (ScaleFactorKind.OPTIMAL, ScaleFactorKind.GERSHGORIN):
-        result = solve_transform(x, m, PipelineConfig(scale_kind=kind))
+        result = solve_transform(x, m, scale_kind=kind)
         assert result.inversion.iterations == 0
         assert result.transform.tolist() == [[2.0]]
     # Here alpha * z rounds to just below 2, so the recurrence converges, slowly:
     # at one column the residual is exact, so the count is the self-scaled law's.
     x = uniform_pattern(5, 1, 3)
-    result = solve_transform(x, 2.0 * x, PipelineConfig(scale_kind=ScaleFactorKind.TRACE))
+    result = solve_transform(x, 2.0 * x, scale_kind=ScaleFactorKind.TRACE)
     z = gram(np.ldexp(x, -binary_exponent(x)))
     a = (z * scale_factor(z, ScaleFactorKind.TRACE))[0, 0]
     assert result.inversion.converged
@@ -214,14 +204,15 @@ def test_single_column_trace_scale_stalls():
 
 
 def test_iteration_cap_is_not_singular():
-    # kappa(X) is 1.9; under the default cap the same system converges in 4 iterations.
-    x, m = uniform_pattern(64, 8, 1), uniform_pattern(64, 2, 2)
-    config = PipelineConfig(inversion=InversionConfig(max_iterations=2))
-    with pytest.raises(IterationCapError) as info:
-        solve_transform(x, m, config)
-    assert not isinstance(info.value, SingularSystemError)
-    assert str(info.value) == "inversion hit the iteration cap of 2 iterations (residual 2.788e-02)"
-    assert solve_transform(x, m).inversion.iterations == 4
+    # X has full rank; rounding keeps the residual of its near-dependent X'X near 1e-4.
+    x, m = near_dependent_pattern(3, 0), uniform_pattern(9, 2, 2)
+    assert np.linalg.matrix_rank(x) == 3
+    pattern = r"inversion hit the iteration cap of 200 iterations \(residual \d\.\d{3}e-0[345]\)"
+    for kind in ScaleFactorKind:
+        with pytest.raises(IterationCapError) as info:
+            solve_transform(x, m, scale_kind=kind)
+        assert not isinstance(info.value, SingularSystemError)
+        assert re.fullmatch(pattern, str(info.value))
 
 
 def test_zero_pattern_rejected():
@@ -237,11 +228,10 @@ EXTREME_M = EXTREME_X @ np.array([[2.0, 1.0], [0.0, 3.0]])
 @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
 def test_extreme_input_scale_solves(scale, kind):
     """Scaling X and M alike leaves T unchanged up to the rounding of the scaling."""
-    config = PipelineConfig(scale_kind=kind)
-    t = solve_transform(EXTREME_X, EXTREME_M, config).transform
-    result = solve_transform(scale * EXTREME_X, scale * EXTREME_M, config)
+    t = solve_transform(EXTREME_X, EXTREME_M, scale_kind=kind).transform
+    result = solve_transform(scale * EXTREME_X, scale * EXTREME_M, scale_kind=kind)
     sv = np.linalg.svd(EXTREME_X, compute_uv=False)
-    n, eps = EXTREME_X.shape[1], config.inversion.epsilon
+    n, eps = EXTREME_X.shape[1], EPSILON
     # The stopping rule bounds ||I - V A||_2 by n eps; forming X'X adds n kappa(X)^2 u.
     bound = n * eps / (1.0 - n * eps) + n * (sv[0] / sv[-1]) ** 2 * 2.0**-53
     assert np.linalg.norm(result.transform - t) <= bound * np.linalg.norm(t)
@@ -251,10 +241,9 @@ def test_extreme_input_scale_solves(scale, kind):
 @pytest.mark.parametrize("kind", list(ScaleFactorKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("log2_scale", [-700, -530, 500, 660])
 def test_power_of_two_input_scale_is_exact(log2_scale, kind):
-    config = PipelineConfig(scale_kind=kind)
-    base = solve_transform(EXTREME_X, EXTREME_M, config)
+    base = solve_transform(EXTREME_X, EXTREME_M, scale_kind=kind)
     scale = 2.0**log2_scale
-    result = solve_transform(scale * EXTREME_X, scale * EXTREME_M, config)
+    result = solve_transform(scale * EXTREME_X, scale * EXTREME_M, scale_kind=kind)
     assert result.transform.tobytes() == base.transform.tobytes()
     assert result.distance == scale * base.distance
     assert result.inversion.residual_history.tobytes() == base.inversion.residual_history.tobytes()
@@ -288,7 +277,6 @@ def test_stall_is_singular_unless_single_column_trace(n, k, seed, kind, log2_sca
     x = uniform_pattern(m, n, derive_seed(seed, 0))
     target = uniform_pattern(m, 2, derive_seed(seed, 1))
     scale = 2.0**log2_scale
-    config = PipelineConfig(scale_kind=kind)
     if defect is not None and n >= 2:
         if defect == "duplicate column":
             x[:, -1] = x[:, 0]
@@ -300,20 +288,19 @@ def test_stall_is_singular_unless_single_column_trace(n, k, seed, kind, log2_sca
         # positive; the residual may then hover below 1 until the iteration cap.
         failures = (SingularSystemError, IterationCapError)
         with pytest.raises(failures if defect == "rank 1" else SingularSystemError):
-            solve_transform(scale * x, scale * target, config)
+            solve_transform(scale * x, scale * target, scale_kind=kind)
         return
     sv = np.linalg.svd(x, compute_uv=False)
     kappa2_u = (sv[0] / sv[-1]) ** 2 * 2.0**-53
     if not kappa2_u < 1e-8:
         return
     try:
-        result = solve_transform(scale * x, scale * target, config)
+        result = solve_transform(scale * x, scale * target, scale_kind=kind)
     except InversionStalledError:
         assert n == 1 and kind is ScaleFactorKind.TRACE
         return
     # T = V A T* exactly, and ||I - V A||_2 <= n max|I - V A| < n eps; forming
     # X'X and the products add about m kappa(X)^2 u.
     expected = np.linalg.lstsq(x, target, rcond=None)[0]
-    eps = config.inversion.epsilon
-    bound = n * eps / (1.0 - n * eps) + m * kappa2_u
+    bound = n * EPSILON / (1.0 - n * EPSILON) + m * kappa2_u
     assert np.linalg.norm(result.transform - expected) <= bound * np.linalg.norm(expected)

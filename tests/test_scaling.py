@@ -168,3 +168,11 @@ def test_scale_invariance_of_diagnostics():
         assert abs(alpha - base / c) < 1e-10 * base / c
         assert abs(alpha * wc[0] - base * w[0]) < 1e-10
         assert abs(alpha * wc[-1] - base * w[-1]) < 1e-10
+
+
+@pytest.mark.parametrize("kind", ["alpha1", None, 3])
+def test_scale_factor_rejects_a_kind_that_is_not_a_member(kind):
+    """A token, None or a number is no kind, and falls into no kind's branch."""
+    z = gram(uniform_pattern(12, 3, 5))
+    with pytest.raises(TypeError, match=f"kind must be a ScaleFactorKind, got {kind!r}"):
+        sc.scale_factor(z, kind)
