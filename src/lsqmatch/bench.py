@@ -24,7 +24,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .generate import MoreToraldoSpec, derive_seed, more_toraldo, uniform_pattern
+from .generate import derive_seed, more_toraldo, uniform_pattern
 from .inverter import ScaleFactorKind, invert, scale_factor
 from .linalg import extreme_eigenvalues, gram
 
@@ -158,11 +158,12 @@ def run_mt_suite(
     trace and row-sum factors read the generated matrix alone.  Every trial
     is recorded, converged or not.
     """
-    def build(spec, child):
-        return "mt", spec.n, spec.n, spec.kappa, (1.0, spec.kappa), more_toraldo(spec, child)[1]
+    def build(cell, child):
+        n, kappa = cell
+        return "mt", n, n, kappa, (1.0, kappa), more_toraldo(n, kappa, child)[1]
 
-    specs = [MoreToraldoSpec(int(n), float(kappa)) for n, kappa in grid]
-    return _run_trials(specs, build, tuple(ScaleFactorKind), trials_per_cell, seed)
+    cells = [(int(n), float(kappa)) for n, kappa in grid]
+    return _run_trials(cells, build, tuple(ScaleFactorKind), trials_per_cell, seed)
 
 
 def run_table1_suite(

@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import bench
-from .generate import MoreToraldoSpec, more_toraldo, uniform_pattern
+from .generate import more_toraldo, uniform_pattern
 from .inverter import EPSILON, ScaleFactorKind
 from .matching import SCALE_KIND, solve_transform
 from .matio import format_matrix, load_matrix, open_ascii, save_matrix
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen(args) -> int:
     if args.family == "mt":
-        _, z = more_toraldo(MoreToraldoSpec(args.n, args.kappa), args.seed)
+        _, z = more_toraldo(args.n, args.kappa, args.seed)
         save_matrix(args.out, z)
     else:
         save_matrix(args.out, uniform_pattern(args.m, args.n, args.seed))

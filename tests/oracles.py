@@ -1,8 +1,10 @@
-"""Closed-form oracles that the tests compare the package against, and a capped input."""
+"""Oracles that the tests compare the package against, a capped input and the cap seam."""
 
 import numpy as np
+import pytest
 
 from lsqmatch.generate import derive_seed, uniform_pattern
+from lsqmatch.inverter import invert
 from lsqmatch.linalg import symmetrize
 
 #: Largest exponent accepted by :func:`neumann_partial_sum` (2^t - 1 products).
@@ -55,3 +57,50 @@ def near_dependent_pattern(n: int, seed: int) -> np.ndarray:
     x = uniform_pattern(3 * n, n, seed)
     x[:, 0] = x[:, 1] + 1e-6 * uniform_pattern(3 * n, 1, derive_seed(seed, 1))[:, 0]
     return x
+
+
+def mix64(value: int) -> int:
+    """Scalar splitmix64 finalizer, with the published constants: the reference for ``generate``."""
+    mask = (1 << 64) - 1
+    z = value & mask
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & mask
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & mask
+    z ^= z >> 31
+    return z
+
+
+def gaussian_solve(a, b) -> np.ndarray:
+    """Independent normal-equations oracle: dense solve of a x = b by partial-pivot elimination."""
+    a = np.array(a, dtype=np.float64)
+    b = np.array(b, dtype=np.float64)
+    n = a.shape[0]
+    for col in range(n):
+        pivot = col + int(np.argmax(np.abs(a[col:, col])))
+        if a[pivot, col] == 0.0:
+            raise ZeroDivisionError("singular matrix in elimination oracle")
+        if pivot != col:
+            a[[col, pivot]] = a[[pivot, col]]
+            b[[col, pivot]] = b[[pivot, col]]
+        for row in range(col + 1, n):
+            factor = a[row, col] / a[col, col]
+            a[row, col:] -= factor * a[col, col:]
+            b[row] -= factor * b[col]
+    x = np.zeros_like(b)
+    for row in range(n - 1, -1, -1):
+        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
+    return x
+
+
+def iterate_to(a, t: int) -> np.ndarray:
+    """The iterate V_t after exactly t updates (identity at t = 0).
+
+    Read off ``invert`` with the update cap patched to t and a threshold too
+    small to hit.
+    """
+    if t == 0:
+        return np.eye(a.shape[0])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("lsqmatch.inverter.MAX_ITERATIONS", t)
+        return invert(a, epsilon=1e-300).inverse

@@ -10,11 +10,10 @@ import math
 import time
 
 import numpy as np
-import pytest
-from oracles import neumann_partial_sum
+from oracles import gaussian_solve, iterate_to, mix64, neumann_partial_sum
 
 from lsqmatch.cli import main as cli_main
-from lsqmatch.generate import MoreToraldoSpec, derive_seed, mix64, more_toraldo, uniform_pattern
+from lsqmatch.generate import derive_seed, more_toraldo, uniform_pattern
 from lsqmatch.inverter import ScaleFactorKind, invert, scale_factor
 from lsqmatch.linalg import gram
 from lsqmatch.matching import estimate_time_ms, op_count, solve_transform
@@ -26,7 +25,7 @@ LAW_EPSILON = 1e-6
 
 
 def _conditioned_matrix(n, kappa, seed):
-    _, z = more_toraldo(MoreToraldoSpec(n, kappa), seed)
+    _, z = more_toraldo(n, kappa, seed)
     return z
 
 
@@ -140,7 +139,7 @@ def test_criterion_05_cost_model():
     assert op_count(4) == 15
     assert estimate_time_ms(15) == 75.0
 
-    x, _ = more_toraldo(MoreToraldoSpec(2, 2.0), derive_seed(5, 0))
+    x, _ = more_toraldo(2, 2.0, derive_seed(5, 0))
     m = uniform_pattern(2, 2, derive_seed(5, 1))
     result = solve_transform(x, m, scale_kind=ScaleFactorKind.OPTIMAL)
     assert result.inversion.converged
@@ -158,15 +157,6 @@ def _rescaled_test_matrix(index):
     return z * (2.0 / (1.0 + kappa)), kappa
 
 
-def _iterate_to(a, t):
-    """The process iterate after exactly t update steps (identity at t = 0)."""
-    if t == 0:
-        return np.eye(a.shape[0])
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("lsqmatch.inverter.MAX_ITERATIONS", t)
-        return invert(a, epsilon=1e-300).inverse
-
-
 def test_criterion_06_partial_sum_oracle():
     """Process iterates match truncated geometric-series sums within 1e-10 entrywise."""
     for index in range(20):
@@ -175,7 +165,7 @@ def test_criterion_06_partial_sum_oracle():
         assert w[0] > 0.0
         assert w[-1] < 2.0
         for t in (1, 2, 3, 4, 5):
-            vt = _iterate_to(a, t)
+            vt = iterate_to(a, t)
             oracle = neumann_partial_sum(a, t)
             assert np.abs(vt - oracle).max() < 1e-10
 
@@ -189,7 +179,7 @@ def test_criterion_07_residual_contraction_law():
         assert report.converged
         identity = np.eye(a.shape[0])
         for t in range(report.iterations + 1):
-            resid = identity - _iterate_to(a, t) @ a
+            resid = identity - iterate_to(a, t) @ a
             if np.abs(resid).max() < 1e-6:
                 break
             observed = float(np.abs(np.linalg.eigvalsh((resid + resid.T) * 0.5)).max())
@@ -219,28 +209,6 @@ def test_criterion_08_scale_factor_ordering():
             assert abs(alpha1 - alpha0) <= 1e-12 * alpha0
 
 
-def _gaussian_solve(a, b):
-    """Dense solve of a x = b by Gaussian elimination with partial pivoting."""
-    a = np.array(a, dtype=np.float64)
-    b = np.array(b, dtype=np.float64)
-    n = a.shape[0]
-    for col in range(n):
-        pivot = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[pivot, col]) == 0.0:
-            raise ZeroDivisionError("singular matrix in elimination oracle")
-        if pivot != col:
-            a[[col, pivot]] = a[[pivot, col]]
-            b[[col, pivot]] = b[[pivot, col]]
-        for row in range(col + 1, n):
-            factor = a[row, col] / a[col, col]
-            a[row, col:] -= factor * a[col, col:]
-            b[row] -= factor * b[col]
-    x = np.zeros_like(b)
-    for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
-    return x
-
-
 def test_criterion_09_solver_vs_elimination_oracle():
     """solve_transform matches a pivoted elimination solve of the normal equations."""
     for i in range(50):
@@ -254,7 +222,7 @@ def test_criterion_09_solver_vs_elimination_oracle():
         else:
             m = uniform_pattern(rows, 3, derive_seed(17, 2 * i + 1))
         result = solve_transform(x, m, epsilon=1e-10)
-        oracle = _gaussian_solve(gram(x), x.T @ m)
+        oracle = gaussian_solve(gram(x), x.T @ m)
         assert np.abs(result.transform - oracle).max() < 1e-6
         if i % 2 == 0:
             target_norm = math.sqrt(float((m * m).sum()))

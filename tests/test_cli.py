@@ -5,7 +5,7 @@ from oracles import near_dependent_pattern
 
 import lsqmatch.bench as bench
 from lsqmatch.cli import build_parser, main
-from lsqmatch.generate import MoreToraldoSpec, more_toraldo, uniform_pattern
+from lsqmatch.generate import more_toraldo, uniform_pattern
 from lsqmatch.inverter import EPSILON
 from lsqmatch.matching import MS_PER_OP, SCALE_KIND
 from lsqmatch.matio import format_matrix, load_matrix, save_matrix
@@ -50,7 +50,7 @@ def test_gen_mt_matches_library(tmp_path):
     out = tmp_path / "z.txt"
     rc = main(["gen", "mt", "--n", "6", "--kappa", "32", "--seed", "9", "--out", str(out)])
     assert rc == 0
-    _, z = more_toraldo(MoreToraldoSpec(6, 32.0), 9)
+    _, z = more_toraldo(6, 32.0, 9)
     assert out.read_text() == format_matrix(z)
     np.testing.assert_array_equal(load_matrix(out), z)
 

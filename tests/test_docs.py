@@ -1,5 +1,6 @@
 import argparse
 import builtins
+import importlib
 import pkgutil
 import re
 from itertools import takewhile
@@ -64,6 +65,25 @@ def test_readme_errors_are_the_exported_ones():
     assert {e for e in named if not hasattr(builtins, e)} == {
         e for e in lsqmatch.__all__ if e.endswith("Error")
     }
+
+
+def test_readme_class_names_exist():
+    # A removed or renamed class must not linger in README, nor an attribute it no longer has.
+    modules = [
+        importlib.import_module(f"lsqmatch.{m.name}") for m in pkgutil.iter_modules(lsqmatch.__path__)
+    ]
+    pattern = r"`([A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+)(?:\.(\w+))?[`(]"
+    named = set(re.findall(pattern, README.read_text(encoding="utf-8")))
+    assert {("ScaleFactorKind", ""), ("MatchResult", "op_count")} <= named
+    missing = [
+        f"{name}.{attr}" if attr else name
+        for name, attr in sorted(named)
+        if not any(
+            owner is not None and (not attr or hasattr(owner, attr))
+            for owner in [getattr(builtins, name, None)] + [getattr(m, name, None) for m in modules]
+        )
+    ]
+    assert missing == []
 
 
 def test_package_does_not_use_numpy_linalg():

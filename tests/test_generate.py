@@ -3,44 +3,24 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lsqmatch.generate import (
-    BLOCK,
-    GOLDEN,
-    MoreToraldoSpec,
-    SplitMix64,
-    derive_seed,
-    householder,
-    mix64,
-    more_toraldo,
-    uniform_pattern,
-)
+from oracles import mix64
+
+from lsqmatch.bench import run_mt_suite
+from lsqmatch.generate import BLOCK, GOLDEN, derive_seed, more_toraldo, uniform_pattern
 from lsqmatch.linalg import extreme_eigenvalues
 
 
 def test_mix64_reference_vector():
     # first two outputs of the reference splitmix64 stream from seed 0
+    assert derive_seed(0, 0) == 0xE220A8397B1DCDAF
+    assert derive_seed(0, 1) == 0x6E789E6AA1B965F4
     assert mix64(GOLDEN) == 0xE220A8397B1DCDAF
-    assert mix64((2 * GOLDEN) & ((1 << 64) - 1)) == 0x6E789E6AA1B965F4
     assert mix64(0) == 0
 
 
-def test_stream_is_deterministic_and_resumable():
-    a = SplitMix64(12345).take(16)
-    b = SplitMix64(12345).take(16)
-    assert np.array_equal(a, b)
-    stream = SplitMix64(12345)
-    first = stream.take(7)
-    rest = stream.take(9)
-    assert np.array_equal(np.concatenate([first, rest]), a)
-
-
-def _scalar_stream(seed, first, count):
-    """Values ``first`` .. ``first + count - 1`` of the stream, one Python float at a time."""
-    mask = (1 << 64) - 1
-    return [
-        ((mix64((seed + k * GOLDEN) & mask) >> 11) + 0.5) * 2.0**-52 - 1.0
-        for k in range(first, first + count)
-    ]
+def _scalar_stream(seed, count):
+    """The first ``count`` values of the stream from ``seed``, one Python float at a time."""
+    return [((mix64(seed + k * GOLDEN) >> 11) + 0.5) * 2.0**-52 - 1.0 for k in range(1, count + 1)]
 
 
 @pytest.mark.parametrize(
@@ -60,20 +40,11 @@ def _scalar_stream(seed, first, count):
     ],
 )
 def test_stream_matches_scalar_formula(seed):
-    count = 1000
-    expected = np.array(_scalar_stream(seed, 1, BLOCK + 9))
-    assert SplitMix64(seed).take(count).tobytes() == expected[:count].tobytes()
-    stream = SplitMix64(seed)
-    first = stream.take(7)
-    rest = stream.take(count - 7)
-    assert first.tobytes() == expected[:7].tobytes()
-    assert rest.tobytes() == expected[7:count].tobytes()
-    assert stream.take(1).tobytes() == expected[count : count + 1].tobytes()
-    # Across a block edge, in one draw and resumed one value past the edge.
-    assert SplitMix64(seed).take(BLOCK + 1).tobytes() == expected[: BLOCK + 1].tobytes()
-    stream = SplitMix64(seed)
-    assert stream.take(BLOCK + 1).tobytes() == expected[: BLOCK + 1].tobytes()
-    assert stream.take(8).tobytes() == expected[BLOCK + 1 :].tobytes()
+    expected = np.array(_scalar_stream(seed, BLOCK + 9))
+    assert uniform_pattern(1000, 1, seed).tobytes() == expected[:1000].tobytes()
+    # Across a block edge: one value past it, and the whole tail.
+    assert uniform_pattern(BLOCK + 1, 1, seed).tobytes() == expected[: BLOCK + 1].tobytes()
+    assert uniform_pattern(BLOCK + 9, 1, seed).tobytes() == expected.tobytes()
 
 
 def test_uniform_pattern_holds_one_output_buffer():
@@ -89,70 +60,66 @@ def test_uniform_pattern_holds_one_output_buffer():
 
 def test_stream_values_strictly_inside_interval():
     # -1 is never reached; 1.0 can be (see the test below), but not on this seed.
-    v = SplitMix64(999).take(4096)
+    v = uniform_pattern(4096, 1, 999)
     assert v.min() > -1.0
     assert v.max() < 1.0
-    with pytest.raises(ValueError):
-        SplitMix64(1).take(0)
 
 
 def test_stream_rounds_to_zero_and_one():
     # For j = mix64(state) >> 11 >= 2^52, j + 1/2 rounds to even.
-    assert SplitMix64(17685126244420568887).take(1).tolist() == [1.0]
+    assert uniform_pattern(1, 1, 17685126244420568887).tolist() == [[1.0]]
     assert uniform_pattern(1, 1, 3453682501520545093).tolist() == [[0.0]]
 
 
 def test_stream_moments():
-    v = SplitMix64(987654321).take(100000)
+    v = uniform_pattern(100000, 1, 987654321)
     assert abs(v.mean()) < 0.02
     assert abs(v.var() - 1.0 / 3.0) < 0.02
 
 
 def test_derive_seed():
-    assert derive_seed(42, 0) == mix64((42 + GOLDEN) & ((1 << 64) - 1))
+    assert derive_seed(42, 0) == mix64(42 + GOLDEN)
+    assert derive_seed(42, 99) == mix64(42 + 100 * GOLDEN)
     children = {derive_seed(42, i) for i in range(100)}
     assert len(children) == 100
     with pytest.raises(ValueError):
         derive_seed(42, -1)
 
 
-def test_householder_axis_vector():
-    h = householder(np.array([1.0, 0.0]))
-    assert np.array_equal(h, np.array([[-1.0, 0.0], [0.0, 1.0]]))
-
-
-def test_householder_involution_and_reflection():
+def test_reflection_is_symmetric_orthogonal_and_negates_h():
+    # At kappa = 1 the ladder is all ones, so X is the reflection H itself,
+    # built from h = uniform_pattern(n, 1, seed).
     for n in (2, 16, 64):
-        vec = SplitMix64(500 + n).take(n)
-        refl = householder(vec)
+        refl, _ = more_toraldo(n, 1.0, 500 + n)
+        h = uniform_pattern(n, 1, 500 + n).ravel()
+        assert np.array_equal(refl, refl.T)
         assert np.abs(refl @ refl - np.eye(n)).max() < 1e-12
-        assert np.abs(refl @ vec + vec).max() < 1e-12
-        assert np.abs(refl.T @ refl - np.eye(n)).max() < 1e-12
-
-
-def test_householder_zero_vector():
-    with pytest.raises(ValueError, match="zero vector"):
-        householder(np.zeros(4))
+        assert np.abs(refl @ h + h).max() < 1e-12
+        # A reflection has eigenvalues -1 once and 1 n - 1 times.
+        assert abs(np.trace(refl) - (n - 2)) < 1e-12
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        MoreToraldoSpec(1, 2.0)
+    with pytest.raises(ValueError, match="n must be at least 2, got 1"):
+        more_toraldo(1, 2.0, 0)
     for kappa in (0.5, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="kappa"):
-            MoreToraldoSpec(4, kappa)
+        with pytest.raises(ValueError, match=f"kappa must be finite and at least 1, got {kappa}"):
+            more_toraldo(4, kappa, 0)
+    # A suite raises the same error when it reaches the bad cell.
+    with pytest.raises(ValueError, match="n must be at least 2, got 1"):
+        run_mt_suite(grid=[(16, 64.0), (1, 2.0)], trials_per_cell=1)
 
 
 def test_unit_condition_number_gives_identity():
-    _, z = more_toraldo(MoreToraldoSpec(2, 1.0), 71)
+    _, z = more_toraldo(2, 1.0, 71)
     assert np.abs(z - np.eye(2)).max() < 1e-12
-    _, z = more_toraldo(MoreToraldoSpec(8, 1.0), 72)
+    _, z = more_toraldo(8, 1.0, 72)
     assert np.abs(z - np.eye(8)).max() < 1e-12
 
 
 def test_conditioned_spectrum_is_geometric_ladder():
     n, kappa = 12, 300.0
-    _, z = more_toraldo(MoreToraldoSpec(n, kappa), 73)
+    _, z = more_toraldo(n, kappa, 73)
     expected = kappa ** (np.arange(n) / (n - 1.0))
     # independent eigensolver route
     w = np.linalg.eigvalsh(z)
@@ -162,18 +129,18 @@ def test_conditioned_spectrum_is_geometric_ladder():
 
 def test_condition_number_measured_by_own_eigensolver():
     for kappa in (64.0, 1024.0):
-        _, z = more_toraldo(MoreToraldoSpec(10, kappa), 74)
+        _, z = more_toraldo(10, kappa, 74)
         low, high = extreme_eigenvalues(z)
         measured = high / low
         assert abs(measured - kappa) < 1e-6 * kappa
 
 
 def test_generator_determinism_and_shape():
-    x1, z1 = more_toraldo(MoreToraldoSpec(5, 9.0), 75)
-    x2, z2 = more_toraldo(MoreToraldoSpec(5, 9.0), 75)
+    x1, z1 = more_toraldo(5, 9.0, 75)
+    x2, z2 = more_toraldo(5, 9.0, 75)
     assert np.array_equal(x1, x2)
     assert np.array_equal(z1, z2)
-    x3, _ = more_toraldo(MoreToraldoSpec(5, 9.0), 76)
+    x3, _ = more_toraldo(5, 9.0, 76)
     assert not np.array_equal(x1, x3)
     assert x1.shape == (5, 5)
 
@@ -184,8 +151,7 @@ def test_uniform_pattern_basic():
     assert np.abs(x).max() < 1.0
     assert np.array_equal(x, uniform_pattern(9, 4, 81))
     # fills row-major from one stream
-    flat = SplitMix64(81).take(36)
-    assert np.array_equal(x, flat.reshape(9, 4))
+    assert x.tobytes() == np.array(_scalar_stream(81, 36)).tobytes()
     with pytest.raises(ValueError):
         uniform_pattern(3, 4, 81)
     with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ import pytest
 
 from oracles import self_scaled_count
 
-from lsqmatch.generate import MoreToraldoSpec, more_toraldo, uniform_pattern
+from lsqmatch.generate import more_toraldo, uniform_pattern
 from lsqmatch.inverter import (
     InversionStatus,
     ScaleFactorKind,
@@ -34,30 +34,38 @@ def test_numpy_newton_schulz_basic():
 
 def test_divergence_status():
     rep = invert(3.0 * np.eye(4))
+    assert not rep.converged
     assert rep.status is InversionStatus.DIVERGED
     assert rep.iterations == 3
     assert list(rep.residual_history) == [2.0, 4.0, 16.0, 256.0]
 
 
 def test_nonfinite_status():
+    # V_1 A overflows: the run stops DIVERGED at update 1, with no warning.
     rep = invert(1e200 * np.eye(2))
-    assert rep.status is InversionStatus.DIVERGED
-    assert rep.iterations == 1
+    assert (rep.status, rep.iterations) == (InversionStatus.DIVERGED, 1)
     assert list(rep.residual_history) == [1e200, math.inf]
+    assert rep.final_residual == math.inf
 
 
 def test_cap_status():
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("lsqmatch.inverter.MAX_ITERATIONS", 3)
-        rep = invert(0.5 * np.eye(2), epsilon=1e-300)
-    assert rep.status is InversionStatus.HIT_CAP
-    assert rep.iterations == 3
-    assert rep.residual_history.shape == (4,)
+    # A threshold too small to hit: the run stops at the cap, on a scaled
+    # identity and on a rescaled conditioned matrix (ladder 2/9 .. 16/9).
+    conditioned = more_toraldo(5, 8.0, 1)[1] * (2.0 / 9.0)
+    for a, cap in ((0.5 * np.eye(2), 3), (conditioned, 4)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("lsqmatch.inverter.MAX_ITERATIONS", cap)
+            rep = invert(a, epsilon=1e-300)
+        assert not rep.converged
+        assert rep.status is InversionStatus.HIT_CAP
+        assert rep.iterations == cap
+        assert rep.residual_history.shape == (cap + 1,)
 
 
 def test_stalled_status():
     # A rescaled eigenvalue of exactly 2 keeps |1 - 2| = 1 at every step.
     rep = invert(np.array([[2.0]]))
+    assert not rep.converged
     assert rep.status is InversionStatus.STALLED
     assert rep.iterations == 3
     assert list(rep.residual_history) == [1.0, 1.0, 1.0, 1.0]
@@ -119,11 +127,11 @@ def _oracle_cases():
         if n == 1:
             continue
         for kappa in (2.0**10, 2.0**20):
-            _, z = more_toraldo(MoreToraldoSpec(n, kappa), 2000 + n)
+            _, z = more_toraldo(n, kappa, 2000 + n)
             for kind in ScaleFactorKind:
                 alpha = scale_factor(z, kind, (1.0, kappa))
                 yield pytest.param(z * alpha, 1e-6, 200, id=f"mt-n{n}-k{kappa:g}-{kind.value}")
-    _, z = more_toraldo(MoreToraldoSpec(32, 2.0**10), 7)
+    _, z = more_toraldo(32, 2.0**10, 7)
     yield pytest.param(z * scale_factor(z, ScaleFactorKind.TRACE), 1e-300, 4, id="hit-cap")
     yield pytest.param(3.0 * np.eye(4), 1e-6, 200, id="diverged")
     yield pytest.param(np.array([[2.0]]), 1e-6, 200, id="stalled")
@@ -181,7 +189,7 @@ def test_self_scaled_count_follows_recursion(delta):
 
 def test_self_scaled_never_slower_than_plain():
     for kappa in (2.0**10, 2.0**20):
-        _, z = more_toraldo(MoreToraldoSpec(32, kappa), 2032)
+        _, z = more_toraldo(32, kappa, 2032)
         for kind in ScaleFactorKind:
             a = z * scale_factor(z, kind, (1.0, kappa))
             rep = invert(a, self_scaled=True)
@@ -209,7 +217,7 @@ def test_self_scaled_applies_no_gain_at_or_above_one(a):
 
 
 def test_invert_reads_a_read_only_input():
-    _, z = more_toraldo(MoreToraldoSpec(16, 2.0**10), 12)
+    _, z = more_toraldo(16, 2.0**10, 12)
     a = z * scale_factor(z, ScaleFactorKind.GERSHGORIN)
     assert a.tobytes() == a.T.copy().tobytes()  # so validation does not copy it
     kept = a.copy()
@@ -227,7 +235,7 @@ def test_newton_schulz_peak_memory():
     # V and two n x n work buffers, allocated once per call, in either mode;
     # validation neither copies the symmetric input nor keeps a temporary.
     n = 128
-    _, z = more_toraldo(MoreToraldoSpec(n, 2.0**10), 11)
+    _, z = more_toraldo(n, 2.0**10, 11)
     a = z * scale_factor(z, ScaleFactorKind.TRACE)
     for self_scaled in (False, True):
         tracemalloc.start()

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import lsqmatch.linalg as la
-from lsqmatch.generate import MoreToraldoSpec, more_toraldo, uniform_pattern
+from lsqmatch.generate import more_toraldo, uniform_pattern
 from lsqmatch.inverter import ScaleFactorKind, invert, scale_factor
 
 
@@ -113,7 +113,7 @@ def _gram_inputs():
         yield uniform_pattern(200, 40, 3) * scale
     for n in (16, 64, 256):
         for log2_kappa in (10, 20):
-            yield more_toraldo(MoreToraldoSpec(n, 2.0**log2_kappa), 1)[0]
+            yield more_toraldo(n, 2.0**log2_kappa, 1)[0]
 
 
 def test_gram_matches_transpose_multiply():
@@ -142,7 +142,7 @@ def test_eigen_2x2_example():
 
 def test_eigen_conditioned_family_spectrum():
     """The conditioned generator guarantees a geometric eigenvalue ladder."""
-    _, z = more_toraldo(MoreToraldoSpec(16, 64.0), 20240101)
+    _, z = more_toraldo(16, 64.0, 20240101)
     expected = 64.0 ** (np.arange(16) / 15.0)
     rel = np.abs(np.linalg.eigvalsh(z) - expected) / expected
     assert rel.max() < 1e-8
@@ -283,7 +283,7 @@ def test_extreme_eigenvalues_uniform_gram(n, ratio):
 def test_extreme_eigenvalues_conditioned_ladder(n, log2_kappa):
     """The mt ladder runs from 1 to kappa in closed form."""
     kappa = 2.0**log2_kappa
-    _, z = more_toraldo(MoreToraldoSpec(n, kappa), 4242 + n)
+    _, z = more_toraldo(n, kappa, 4242 + n)
     _assert_extremes(z, 1.0, kappa)
 
 
@@ -459,7 +459,7 @@ def test_spectral_norm_examples():
 def test_spectral_norm_of_rescaled_residual():
     """I - alpha0*Z has spectrum -+(kappa-1)/(kappa+1) at its ends by construction."""
     kappa = 24.0
-    _, z = more_toraldo(MoreToraldoSpec(8, kappa), 777)
+    _, z = more_toraldo(8, kappa, 777)
     a = z * scale_factor(z, ScaleFactorKind.OPTIMAL, (1.0, kappa))
     resid = la.symmetrize(np.eye(8) - a)
     expected = (kappa - 1.0) / (kappa + 1.0)

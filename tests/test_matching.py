@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import near_dependent_pattern, self_scaled_count
+from oracles import gaussian_solve, near_dependent_pattern, self_scaled_count
 
 from lsqmatch.generate import derive_seed, uniform_pattern
 from lsqmatch.inverter import EPSILON, ScaleFactorKind, scale_factor
@@ -20,28 +20,6 @@ from lsqmatch.matching import (
     op_count,
     solve_transform,
 )
-
-
-def gaussian_solve(a, b):
-    """Independent normal-equations oracle: partial-pivot elimination."""
-    a = np.array(a, dtype=np.float64)
-    b = np.array(b, dtype=np.float64)
-    n = a.shape[0]
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if a[piv, col] == 0.0:
-            raise ZeroDivisionError("singular")
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            b[[col, piv]] = b[[piv, col]]
-        for row in range(col + 1, n):
-            f = a[row, col] / a[col, col]
-            a[row, col:] -= f * a[col, col:]
-            b[row] -= f * b[col]
-    x = np.zeros_like(b)
-    for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
-    return x
 
 
 def test_op_count_examples():

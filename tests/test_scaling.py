@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import lsqmatch.inverter as sc
-from lsqmatch.generate import MoreToraldoSpec, more_toraldo, uniform_pattern
+from lsqmatch.generate import more_toraldo, uniform_pattern
 from lsqmatch.linalg import extreme_eigenvalues, gram
 
 OPTIMAL = sc.ScaleFactorKind.OPTIMAL
@@ -79,7 +79,7 @@ def test_gershgorin_examples():
 def test_scale_factor_dispatch():
     """Every kind is 2/d for its closed-form denominator d, bit for bit."""
     uniform = [gram(uniform_pattern(24, 6, seed)) for seed in (21, 22)]
-    _, mt = more_toraldo(MoreToraldoSpec(8, 64.0), 5)
+    _, mt = more_toraldo(8, 64.0, 5)
     for z in (*uniform, mt):
         diag_min = min(np.diag(z))
         row_sum_max = max(np.abs(z).sum(axis=1))
@@ -118,7 +118,7 @@ def test_scale_denominator_overflow_is_rejected():
 def _spd_samples():
     samples = []
     for i, n in enumerate((2, 3, 8, 16)):
-        _, z = more_toraldo(MoreToraldoSpec(n, 5.0 + 11.0 * i), 1000 + i)
+        _, z = more_toraldo(n, 5.0 + 11.0 * i, 1000 + i)
         samples.append(z)
         samples.append(gram(uniform_pattern(4 * n, n, 2000 + i)))
     return samples
@@ -159,7 +159,7 @@ def test_rescaled_spectrum_in_region():
 
 def test_scale_invariance_of_diagnostics():
     """Scaling Z by c scales alpha0 by 1/c and leaves the rescaled spectrum fixed."""
-    _, z = more_toraldo(MoreToraldoSpec(6, 40.0), 555)
+    _, z = more_toraldo(6, 40.0, 555)
     w = np.linalg.eigvalsh(z)
     base = sc.scale_factor(z, OPTIMAL, (w[0], w[-1]))
     for c in (0.25, 3.0, 1e4):
