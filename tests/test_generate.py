@@ -86,17 +86,31 @@ def test_derive_seed():
         derive_seed(42, -1)
 
 
-def test_reflection_is_symmetric_orthogonal_and_negates_h():
+def test_householder_axis_vector():
     # At kappa = 1 the ladder is all ones, so X is the reflection H itself,
-    # built from h = uniform_pattern(n, 1, seed).
+    # built from h = uniform_pattern(n, 1, seed).  Column i of H is the image
+    # of the axis vector e_i: its part orthogonal to h is kept and its part
+    # along h is negated.
+    for n in (2, 16):
+        refl, _ = more_toraldo(n, 1.0, 500 + n)
+        h = uniform_pattern(n, 1, 500 + n).ravel()
+        along = np.outer(h, h) / float(h @ h)  # column i: projection of e_i onto h
+        across = np.eye(n) - along
+        assert np.abs(refl @ across - across).max() < 1e-12
+        assert np.abs(refl @ along + along).max() < 1e-12
+        # A reflection has eigenvalues -1 once and 1 n - 1 times.
+        assert abs(np.trace(refl) - (n - 2)) < 1e-12
+
+
+def test_householder_involution_and_reflection():
+    # H read back from more_toraldo at kappa = 1, as above.
     for n in (2, 16, 64):
         refl, _ = more_toraldo(n, 1.0, 500 + n)
         h = uniform_pattern(n, 1, 500 + n).ravel()
         assert np.array_equal(refl, refl.T)
         assert np.abs(refl @ refl - np.eye(n)).max() < 1e-12
         assert np.abs(refl @ h + h).max() < 1e-12
-        # A reflection has eigenvalues -1 once and 1 n - 1 times.
-        assert abs(np.trace(refl) - (n - 2)) < 1e-12
+        assert np.abs(refl.T @ refl - np.eye(n)).max() < 1e-12
 
 
 def test_spec_validation():

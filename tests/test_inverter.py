@@ -151,6 +151,34 @@ def test_inverse_quality():
         assert np.abs(approx_inverse_times_z - np.eye(n)).max() < 1e-6
 
 
+def test_divergence_aborts_early():
+    rep = invert(3.0 * np.eye(4))
+    assert not rep.converged
+    assert rep.status is InversionStatus.DIVERGED
+    assert rep.iterations == 3
+    assert rep.residual_history.tolist() == [2.0, 4.0, 16.0, 256.0]
+
+
+def test_stall_aborts_early():
+    # Rescaled eigenvalue exactly 2: the residual |1 - 2| = 1 never drops.
+    rep = invert(np.array([[2.0]]))
+    assert not rep.converged
+    assert rep.status is InversionStatus.STALLED
+    assert rep.iterations == 3
+    assert rep.residual_history.tolist() == [1.0, 1.0, 1.0, 1.0]
+
+
+def test_cap_hit_reports_nonconvergence():
+    a, _ = _rescaled_test_matrix(1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("lsqmatch.inverter.MAX_ITERATIONS", 4)
+        rep = invert(a, epsilon=1e-300)
+    assert not rep.converged
+    assert rep.status is InversionStatus.HIT_CAP
+    assert rep.iterations == 4
+    assert rep.residual_history.shape == (5,)
+
+
 def test_cap_sizes_no_allocation():
     # A cap far beyond the address space costs nothing until updates run.
     with pytest.MonkeyPatch.context() as mp:
@@ -158,6 +186,13 @@ def test_cap_sizes_no_allocation():
         rep = invert(0.5 * np.eye(2))
     assert rep.status is InversionStatus.CONVERGED
     assert rep.iterations == 5
+
+
+def test_nonfinite_raises_named_iteration():
+    # V_1 A overflows: the run stops DIVERGED at update 1, with no warning.
+    rep = invert(1e200 * np.eye(2))
+    assert (rep.status, rep.iterations) == (InversionStatus.DIVERGED, 1)
+    assert rep.final_residual == math.inf
 
 
 def test_rejects_asymmetric_input():

@@ -34,38 +34,30 @@ def test_numpy_newton_schulz_basic():
 
 def test_divergence_status():
     rep = invert(3.0 * np.eye(4))
-    assert not rep.converged
     assert rep.status is InversionStatus.DIVERGED
     assert rep.iterations == 3
     assert list(rep.residual_history) == [2.0, 4.0, 16.0, 256.0]
 
 
 def test_nonfinite_status():
-    # V_1 A overflows: the run stops DIVERGED at update 1, with no warning.
     rep = invert(1e200 * np.eye(2))
-    assert (rep.status, rep.iterations) == (InversionStatus.DIVERGED, 1)
+    assert rep.status is InversionStatus.DIVERGED
+    assert rep.iterations == 1
     assert list(rep.residual_history) == [1e200, math.inf]
-    assert rep.final_residual == math.inf
 
 
 def test_cap_status():
-    # A threshold too small to hit: the run stops at the cap, on a scaled
-    # identity and on a rescaled conditioned matrix (ladder 2/9 .. 16/9).
-    conditioned = more_toraldo(5, 8.0, 1)[1] * (2.0 / 9.0)
-    for a, cap in ((0.5 * np.eye(2), 3), (conditioned, 4)):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("lsqmatch.inverter.MAX_ITERATIONS", cap)
-            rep = invert(a, epsilon=1e-300)
-        assert not rep.converged
-        assert rep.status is InversionStatus.HIT_CAP
-        assert rep.iterations == cap
-        assert rep.residual_history.shape == (cap + 1,)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("lsqmatch.inverter.MAX_ITERATIONS", 3)
+        rep = invert(0.5 * np.eye(2), epsilon=1e-300)
+    assert rep.status is InversionStatus.HIT_CAP
+    assert rep.iterations == 3
+    assert rep.residual_history.shape == (4,)
 
 
 def test_stalled_status():
     # A rescaled eigenvalue of exactly 2 keeps |1 - 2| = 1 at every step.
     rep = invert(np.array([[2.0]]))
-    assert not rep.converged
     assert rep.status is InversionStatus.STALLED
     assert rep.iterations == 3
     assert list(rep.residual_history) == [1.0, 1.0, 1.0, 1.0]
