@@ -6,8 +6,8 @@ spectrum (family token ``mt``) and Gram matrices of uniform random patterns
 loop scales and inverts each cell's matrix for each scale kind and records
 the result.  ``mt`` always runs all three kinds, ``table1`` the two
 that need no spectrum.  Iteration counts per scale factor follow simple
-empirical laws in log2(kappa) and log2(n); ``fit_laws`` measures deviations
-against those reference lines.
+empirical laws in log2(kappa) and log2(n), one ``LAWS`` entry each;
+``fit_laws`` measures deviations against those reference lines.
 
 All randomness is derived from one run seed, so identical invocations emit
 byte-identical CSV.
@@ -35,15 +35,17 @@ DEFAULT_TABLE1_SIZES = (4, 8, 16, 32, 64)
 DEFAULT_TABLE1_RATIOS = (1, 2, 4, 8, 16, 32, 64)
 DEFAULT_TRIALS = 10
 
-#: Law token per scale kind, and its predicted iteration count.
-_LAW_TOKENS = {
-    ScaleFactorKind.OPTIMAL: "N0",
-    ScaleFactorKind.TRACE: "N1",
-    ScaleFactorKind.GERSHGORIN: "N2",
-}
-
 #: Empirical additive constant of the N2 law.
 N2_CONSTANT = 2.433
+
+#: The iteration-count law of each scale kind: its token, its predicted count
+#: as a function of (log2 kappa, log2 n), and the (max |mean deviation|, max
+#: absolute deviation) that ``check_fits`` tolerates.
+LAWS = {
+    ScaleFactorKind.OPTIMAL: ("N0", lambda lk, ln: lk + 3.0, (math.inf, 1.0)),
+    ScaleFactorKind.TRACE: ("N1", lambda lk, ln: lk + ln + 1.0, (math.inf, 1.0)),
+    ScaleFactorKind.GERSHGORIN: ("N2", lambda lk, ln: lk + ln / 3.0 + N2_CONSTANT, (0.7, math.inf)),
+}
 
 
 @dataclass(frozen=True)
@@ -100,20 +102,16 @@ class CellSummary:
 
 
 def predicted_iterations(kind: ScaleFactorKind, n: int, kappa: float) -> float:
-    """Reference iteration-count law for one scale kind at size n, condition kappa.
+    """The count ``LAWS[kind]`` predicts at size n, condition kappa.
 
     The TRACE line log2(kappa) + log2(n) + 1 is the paper's approximate law:
     it drops the kappa-dependent term log2(trace / (kappa n)) of the exact
     contraction threshold, so at large kappa whole cells stop one iteration
-    below it.  It is held only to +-1 per trial, which is why
-    ``LAW_TOLERANCES["N1"]`` has no mean bound.
+    below it.  It is held only to +-1 per trial, which is why N1's tolerance
+    has no mean bound.
     """
-    lk = math.log2(kappa)
-    if kind is ScaleFactorKind.OPTIMAL:
-        return lk + 3.0
-    if kind is ScaleFactorKind.TRACE:
-        return lk + math.log2(n) + 1.0
-    return lk + math.log2(n) / 3.0 + N2_CONSTANT
+    _, line, _ = LAWS[kind]
+    return line(math.log2(kappa), math.log2(n))
 
 
 def _run_trials(grid, build, kinds, trials_per_cell, seed) -> list[TrialRecord]:
@@ -219,7 +217,7 @@ def fit_laws(records: list[TrialRecord]) -> list[LawFit]:
                 f"record {index} has family {r.family!r}, kappa {r.kappa!r}"
             )
     fits = []
-    for kind in ScaleFactorKind:
+    for kind, (token, _, _) in LAWS.items():
         devs = [
             r.iterations - predicted_iterations(kind, r.n, r.kappa)
             for r in records
@@ -230,7 +228,7 @@ def fit_laws(records: list[TrialRecord]) -> list[LawFit]:
         arr = np.asarray(devs)
         fits.append(
             LawFit(
-                law=_LAW_TOKENS[kind],
+                law=token,
                 mean_deviation=float(arr.mean()),
                 max_abs_deviation=float(np.abs(arr).max()),
                 trials=int(arr.size),
@@ -339,9 +337,6 @@ FITS = ColumnTable(LawFit, {"mean_deviation": "mean_dev", "max_abs_deviation": "
 # Acceptance checks behind the CLI's --check flag.
 # ---------------------------------------------------------------------------
 
-#: (max |mean deviation|, max absolute deviation) tolerated per law.
-LAW_TOLERANCES = {"N0": (math.inf, 1.0), "N1": (math.inf, 1.0), "N2": (0.7, math.inf)}
-
 
 def check_records(records: list[TrialRecord]) -> list[str]:
     """Problems that fail a suite run: any non-converged trial."""
@@ -356,10 +351,11 @@ def check_records(records: list[TrialRecord]) -> list[str]:
 
 
 def check_fits(fits: list[LawFit]) -> list[str]:
-    """Problems that fail a law fit: deviations beyond the declared slack."""
+    """Problems that fail a law fit: deviations beyond its law's tolerance in ``LAWS``."""
+    tolerances = {token: tolerance for token, _, tolerance in LAWS.values()}
     problems = []
     for f in fits:
-        mean_tol, max_tol = LAW_TOLERANCES.get(f.law, (math.inf, math.inf))
+        mean_tol, max_tol = tolerances[f.law]
         if abs(f.mean_deviation) > mean_tol:
             problems.append(
                 f"{f.law}: |mean deviation| {abs(f.mean_deviation):.3f} exceeds {mean_tol}"

@@ -146,8 +146,6 @@ def extreme_eigenvalues(z) -> tuple[float, float]:
     s = symmetrize(z)
     exponent = binary_exponent(s)
     a = np.ldexp(s, -exponent)
-    if not a.any():
-        return 0.0, 0.0
     n = a.shape[0]
     d, e = _tridiagonalize(a)
     e2 = e * e

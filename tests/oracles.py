@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lsqmatch.generate import derive_seed, uniform_pattern
+from lsqmatch.generate import derive_seed, more_toraldo, uniform_pattern
 from lsqmatch.inverter import invert
 from lsqmatch.linalg import symmetrize
 
@@ -69,6 +69,19 @@ def mix64(value: int) -> int:
     z = (z * 0x94D049BB133111EB) & mask
     z ^= z >> 31
     return z
+
+
+def rescaled_test_matrix(index: int) -> tuple[np.ndarray, float]:
+    """Small conditioned SPD matrix mapped into spectrum (0, 2), with its kappa.
+
+    n in 2..8 and kappa in (2, 20) are drawn from ``index``; the ladder
+    1 .. kappa becomes 2 / (1 + kappa) .. 2 kappa / (1 + kappa).
+    """
+    n = 2 + (mix64(index) % 7)
+    u = ((mix64(index + 100) >> 11) + 0.5) * 2.0**-53
+    kappa = 2.0 + 18.0 * u
+    _, z = more_toraldo(int(n), kappa, derive_seed(9, index))
+    return z * (2.0 / (1.0 + kappa)), kappa
 
 
 def gaussian_solve(a, b) -> np.ndarray:

@@ -10,7 +10,7 @@ import math
 import time
 
 import numpy as np
-from oracles import gaussian_solve, iterate_to, mix64, neumann_partial_sum
+from oracles import gaussian_solve, iterate_to, mix64, neumann_partial_sum, rescaled_test_matrix
 
 from lsqmatch.cli import main as cli_main
 from lsqmatch.generate import derive_seed, more_toraldo, uniform_pattern
@@ -148,19 +148,10 @@ def test_criterion_05_cost_model():
     assert result.est_time_ms == 75.0
 
 
-def _rescaled_test_matrix(index):
-    """Small SPD matrix rescaled so its spectrum sits strictly inside (0, 2)."""
-    n = 2 + (mix64(index) % 7)
-    u = ((mix64(index + 100) >> 11) + 0.5) * 2.0**-53
-    kappa = 2.0 + 18.0 * u
-    z = _conditioned_matrix(int(n), kappa, derive_seed(9, index))
-    return z * (2.0 / (1.0 + kappa)), kappa
-
-
 def test_criterion_06_partial_sum_oracle():
     """Process iterates match truncated geometric-series sums within 1e-10 entrywise."""
     for index in range(20):
-        a, _ = _rescaled_test_matrix(index)
+        a, _ = rescaled_test_matrix(index)
         w = np.linalg.eigvalsh(a)
         assert w[0] > 0.0
         assert w[-1] < 2.0
@@ -173,7 +164,7 @@ def test_criterion_06_partial_sum_oracle():
 def test_criterion_07_residual_contraction_law():
     """Spectral residuals follow contraction^(2^t) and stops respect the bound."""
     for index in range(20):
-        a, kappa = _rescaled_test_matrix(index)
+        a, kappa = rescaled_test_matrix(index)
         contraction = (kappa - 1.0) / (kappa + 1.0)
         report = invert(a, epsilon=1e-6)
         assert report.converged

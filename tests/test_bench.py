@@ -63,6 +63,16 @@ def test_predicted_iteration_laws():
     assert abs(bench.predicted_iterations(ScaleFactorKind.GERSHGORIN, 16, 64.0) - expect) < 1e-12
 
 
+def test_law_lookups_reject_unknown_keys():
+    # A token or None is not a kind, and an unknown law has no tolerance:
+    # neither may fall back to some law's line or to no bound.
+    for kind in ("alpha0", None):
+        with pytest.raises(KeyError):
+            bench.predicted_iterations(kind, 16, 64.0)
+    with pytest.raises(KeyError):
+        bench.check_fits([bench.LawFit("N9", 100.0, 100.0, 1)])
+
+
 def test_mt_suite_single_cell():
     records = bench.run_mt_suite(grid=[(16, 64.0)], trials_per_cell=10, seed=42)
     assert len(records) == 30

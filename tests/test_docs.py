@@ -67,11 +67,17 @@ def test_readme_errors_are_the_exported_ones():
     }
 
 
+def _package_modules():
+    """{name: module} for every module of the package."""
+    return {
+        m.name: importlib.import_module(f"lsqmatch.{m.name}")
+        for m in pkgutil.iter_modules(lsqmatch.__path__)
+    }
+
+
 def test_readme_class_names_exist():
     # A removed or renamed class must not linger in README, nor an attribute it no longer has.
-    modules = [
-        importlib.import_module(f"lsqmatch.{m.name}") for m in pkgutil.iter_modules(lsqmatch.__path__)
-    ]
+    modules = _package_modules().values()
     pattern = r"`([A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+)(?:\.(\w+))?[`(]"
     named = set(re.findall(pattern, README.read_text(encoding="utf-8")))
     assert {("ScaleFactorKind", ""), ("MatchResult", "op_count")} <= named
@@ -83,6 +89,16 @@ def test_readme_class_names_exist():
             for owner in [getattr(builtins, name, None)] + [getattr(m, name, None) for m in modules]
         )
     ]
+    assert missing == []
+
+
+def test_readme_module_attributes_exist():
+    # The check above sees CamelCase names only, not `bench.CONSTANT` or `module.function`.
+    modules = _package_modules()
+    named = set(re.findall(r"`(\w+)\.(\w+)", README.read_text(encoding="utf-8")))
+    dotted = {(module, name) for module, name in named if module in modules}
+    assert ("inverter", "MAX_ITERATIONS") in dotted
+    missing = sorted(f"{m}.{name}" for m, name in dotted if not hasattr(modules[m], name))
     assert missing == []
 
 

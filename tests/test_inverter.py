@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import iterate_to, mix64, neumann_partial_sum
+from oracles import iterate_to, neumann_partial_sum, rescaled_test_matrix
 
 from lsqmatch.generate import derive_seed, more_toraldo
 from lsqmatch.inverter import (
@@ -15,19 +15,6 @@ from lsqmatch.inverter import (
     iteration_bound,
     scale_factor,
 )
-
-
-def _rescaled_test_matrix(index):
-    """Random conditioned matrix mapped into spectrum (0, 2), with its contraction.
-
-    The ladder 1 .. kappa becomes 2 / (1 + kappa) .. 2 kappa / (1 + kappa).
-    """
-    n = 2 + (mix64(index) % 7)
-    u = ((mix64(index + 100) >> 11) + 0.5) * 2.0**-53
-    kappa = 2.0 + 18.0 * u
-    _, z = more_toraldo(int(n), kappa, derive_seed(9, index))
-    a = z * (2.0 / (1.0 + kappa))
-    return a, (kappa - 1.0) / (kappa + 1.0)
 
 
 def _spectral_norm(resid):
@@ -73,7 +60,7 @@ def test_conditioned_two_by_two_stops_at_four():
 
 def test_report_invariants():
     for index in range(6):
-        a, _ = _rescaled_test_matrix(index)
+        a, _ = rescaled_test_matrix(index)
         rep = invert(a)
         assert rep.converged
         assert rep.residual_history.shape == (rep.iterations + 1,)
@@ -83,7 +70,7 @@ def test_report_invariants():
 
 
 def test_converged_fixed_point():
-    a, _ = _rescaled_test_matrix(3)
+    a, _ = rescaled_test_matrix(3)
     n = a.shape[0]
     v = invert(a, epsilon=1e-12).inverse
     again = (2.0 * np.eye(n) - v @ a) @ v
@@ -92,7 +79,7 @@ def test_converged_fixed_point():
 
 def test_matches_power_sum_oracle():
     for index in range(8):
-        a, _ = _rescaled_test_matrix(index)
+        a, _ = rescaled_test_matrix(index)
         for t in (1, 2, 3):
             dev = np.abs(iterate_to(a, t) - neumann_partial_sum(a, t)).max()
             assert dev < 1e-10
@@ -100,7 +87,8 @@ def test_matches_power_sum_oracle():
 
 def test_residual_follows_contraction_law():
     for index in range(6):
-        a, contraction = _rescaled_test_matrix(index)
+        a, kappa = rescaled_test_matrix(index)
+        contraction = (kappa - 1.0) / (kappa + 1.0)
         n = a.shape[0]
         stop = invert(a).iterations
         for t in range(1, stop + 1):
@@ -113,7 +101,7 @@ def test_residual_follows_contraction_law():
 
 
 def test_quadratic_convergence():
-    a, _ = _rescaled_test_matrix(2)
+    a, _ = rescaled_test_matrix(2)
     n = a.shape[0]
     rep = invert(a)
     hist = rep.residual_history
@@ -132,7 +120,8 @@ def test_quadratic_convergence():
 
 def test_stop_never_beyond_threshold_ceiling():
     for index in range(10):
-        a, contraction = _rescaled_test_matrix(index)
+        a, kappa = rescaled_test_matrix(index)
+        contraction = (kappa - 1.0) / (kappa + 1.0)
         rep = invert(a)
         assert rep.converged
         low = 1.0 - contraction
@@ -169,7 +158,7 @@ def test_stall_aborts_early():
 
 
 def test_cap_hit_reports_nonconvergence():
-    a, _ = _rescaled_test_matrix(1)
+    a, _ = rescaled_test_matrix(1)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("lsqmatch.inverter.MAX_ITERATIONS", 4)
         rep = invert(a, epsilon=1e-300)

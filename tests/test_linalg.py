@@ -301,7 +301,9 @@ def test_extreme_eigenvalues_structured():
     cases = [
         np.array([[3.5]]),
         np.array([[-2.0]]),
+        np.zeros((1, 1)),
         np.zeros((4, 4)),
+        np.full((3, 3), -0.0),
         np.eye(5),
         np.diag([3.0, -1.0, 2.0, 0.0]),
         np.diag([2.0, 2.0, 2.0, 5.0, 5.0]),
@@ -325,6 +327,9 @@ def test_extreme_eigenvalues_structured():
     for z in cases:
         w = np.linalg.eigvalsh(z)
         _assert_extremes(z, w[0], w[-1])
+        if not z.any():
+            ends = la.extreme_eigenvalues(z)
+            assert ends == (0.0, 0.0) and not np.signbit(ends).any()
 
 
 def _scalar_sturm_count(d, e2, pivmin, shift):
