@@ -117,6 +117,12 @@ class InversionReport:
         return float(self.residual_history[-1])
 
 
+def check_epsilon(epsilon) -> None:
+    """Raise ``ValueError`` unless the stopping threshold ``epsilon`` lies in (0, 1)."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+
+
 def invert(a, epsilon=EPSILON, self_scaled=False) -> InversionReport:
     """Run the recurrence V0 = I; U = 2I - V A; V <- U V on symmetric ``a``.
 
@@ -146,8 +152,7 @@ def invert(a, epsilon=EPSILON, self_scaled=False) -> InversionReport:
     iterate that leaves the float64 range gives a non-finite residual, a
     DIVERGED stop, and no floating-point warning.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    check_epsilon(epsilon)
     a = symmetrize(a)
     n = a.shape[0]
     v = np.eye(n)
@@ -247,8 +252,7 @@ def iteration_bound(low: float, high: float, epsilon: float) -> int:
     contraction = max(abs(1.0 - low), abs(1.0 - high))
     if not contraction < 1.0:
         raise ValueError(f"rescaled spectrum [{low}, {high}] must lie inside (0, 2)")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    check_epsilon(epsilon)
     if contraction == 0.0:
         return 0
     return max(0, math.ceil(math.log2(math.log(epsilon) / math.log(contraction))))

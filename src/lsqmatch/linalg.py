@@ -1,8 +1,9 @@
 """Dense matrix primitives: validation, the Gram matrix, and the extreme eigenvalues.
 
 ``extreme_eigenvalues`` gives the smallest and largest eigenvalue by
-Householder tridiagonalization and Sturm-sequence multisection; it is what
-the optimal scale factor and the benchmark's kappa use.
+Householder tridiagonalization and Sturm-sequence multisection, whose steps
+binary-search their shifts with a scalar Sturm count; it is what the optimal
+scale factor and the benchmark's kappa use.
 
 Matrices are plain 2-D float64 numpy arrays.  ``as_matrix`` is the validating
 constructor, and ``symmetrize`` adds the check that the matrix equals its
@@ -106,25 +107,30 @@ def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.diag(a).copy(), e
 
 
-def _sturm_counts(d: np.ndarray, e2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues of the tridiagonal (d, e**2) below each shift.
+def _sturm_count(rows: list, shift: float) -> int:
+    """Number of eigenvalues below ``shift`` of the tridiagonal given by ``rows``.
 
+    Row i is the pair (d_i, e2_{i-1}) of Python floats: its diagonal entry
+    and the square of the off-diagonal entry above it, 0.0 for the first row.
     Counts the clear sign bits of p_i = (shift - d_i) - e2_{i-1} / p_{i-1},
     the negated LDL' pivots of T - shift I (bit for bit, as IEEE arithmetic
-    is exact under a sign flip), for all shifts at once in one n x S array.
+    is exact under a sign flip), one row at a time.
     No pivot is floored as in LAPACK's dstebz: under IEEE infinities a zero
     pivot is +0.0 (no shift is -0.0) and counts as dstebz's floored one, and
     the -inf after it has the sign of dstebz's huge pivot (Demmel, Dhillon &
-    Ren, ETNA 3, 1995).  A row under a zero e2 takes no quotient: no 0/0.
+    Ren, ETNA 3, 1995).  Python's ``/`` raises on a zero pivot, so its
+    quotient is written as the IEEE one, copysign(inf, p).  A row under a
+    zero e2 takes no quotient: no 0/0.
     """
-    p = shifts - d[:, None]
-    rows, quotient = list(p), np.empty_like(shifts)
-    with np.errstate(divide="ignore", over="ignore"):
-        for e2_above, above, row in zip(e2.tolist(), rows, rows[1:]):
-            if e2_above:
-                np.divide(e2_above, above, out=quotient)
-                np.subtract(row, quotient, out=row)
-    return (~np.signbit(p)).sum(axis=0)
+    count = 0
+    for d_i, e2_above in rows:
+        if e2_above:
+            p = (shift - d_i) - (e2_above / p if p else math.copysign(math.inf, p))
+        else:
+            p = shift - d_i
+        if p > 0.0 or not p and math.copysign(1.0, p) > 0.0:
+            count += 1
+    return count
 
 
 def extreme_eigenvalues(z) -> tuple[float, float]:
@@ -133,10 +139,15 @@ def extreme_eigenvalues(z) -> tuple[float, float]:
     Reduces ``z`` to tridiagonal form by Householder reflections, then
     narrows a bracket around each end of the spectrum by Sturm-sequence
     multisection, starting from the tridiagonal's Gershgorin interval, until
-    it is 2 eps wide relative to its ends or unit-roundoff wide relative to
-    the norm, the accuracy the reduction itself has (the tolerances of
-    LAPACK's dstebz).  Indefinite matrices are fine, and so are entries up
-    to the float64 maximum; an end beyond that range reads -inf or inf.
+    both are 2 eps wide relative to their ends or unit-roundoff wide relative
+    to the norm, the accuracy the reduction itself has (the tolerances of
+    LAPACK's dstebz); one that gets there first keeps narrowing until then.
+    A step moves a bracket to the two of its ``MULTISECTION_SHIFTS`` evenly
+    spaced shifts around the first with enough eigenvalues below it.  The
+    count never falls as the shift grows, so a binary search finds that
+    shift in 6 counts, one shift at a time.  Indefinite matrices are fine,
+    and so are entries up to the float64 maximum; an end beyond that range
+    reads -inf or inf.
     The reduction runs on ``z`` scaled to max|z| in [0.5, 1), where the
     Gershgorin bound is near 0.5 or above (it bounds the 2-norm), so
     dstebz's pivot-floor terms would change no bit of the bracket.
@@ -148,35 +159,41 @@ def extreme_eigenvalues(z) -> tuple[float, float]:
     a = np.ldexp(s, -exponent)
     n = a.shape[0]
     d, e = _tridiagonalize(a)
-    e2 = e * e
-    eps = np.finfo(np.float64).eps
+    # Python floats from here on: the multisection is scalar arithmetic.
+    eps = float(np.finfo(np.float64).eps)
     abs_e = np.abs(e)
     radius = np.r_[0.0, abs_e] + np.r_[abs_e, 0.0]
     lo, hi = float((d - radius).min()), float((d + radius).max())
     tnorm = max(abs(lo), abs(hi))
     pad = 2.0 * n * eps * tnorm
     floor = 0.5 * eps * tnorm
-    # Rows: the bracket holding the smallest eigenvalue, then the largest.
-    # The low end of a bracket has fewer than ``target`` eigenvalues below it,
-    # the high end at least ``target``.
-    brackets = np.array([[lo - pad, hi + pad], [lo - pad, hi + pad]])
-    target = np.array([[1], [n]])
-    steps = np.arange(1, MULTISECTION_SHIFTS + 1) / (MULTISECTION_SHIFTS + 1)
-    while True:
-        lows, highs = brackets[:, 0], brackets[:, 1]
-        width = highs - lows
-        tol = np.maximum(2.0 * eps * np.maximum(np.abs(lows), np.abs(highs)), floor)
-        if np.all(width <= tol):
-            break
-        shifts = lows[:, None] + width[:, None] * steps
-        below = _sturm_counts(d, e2, shifts.ravel()).reshape(shifts.shape) < target
-        k = below.sum(axis=1)
-        for row in range(2):
-            if k[row]:
-                brackets[row, 0] = shifts[row, k[row] - 1]
-            if k[row] < MULTISECTION_SHIFTS:
-                brackets[row, 1] = shifts[row, k[row]]
+    # The bracket holding the smallest eigenvalue, then the largest.  The low
+    # end of a bracket has fewer than ``target`` eigenvalues below it, the
+    # high end at least ``target``.
+    brackets, targets = [[lo - pad, hi + pad], [lo - pad, hi + pad]], (1, n)
+    steps = (np.arange(1, MULTISECTION_SHIFTS + 1) / (MULTISECTION_SHIFTS + 1)).tolist()
+    rows = list(zip(d.tolist(), [0.0, *(e * e).tolist()]))
+    while any(
+        high - low > max(2.0 * eps * max(abs(low), abs(high)), floor)
+        for low, high in brackets
+    ):
+        for bracket, target in zip(brackets, targets):
+            low, high = bracket
+            width = high - low
+            # Binary search for k, the first shift low + width * steps[k]
+            # with at least ``target`` eigenvalues below it.
+            k, last = 0, MULTISECTION_SHIFTS
+            while k < last:
+                mid = (k + last) // 2
+                if _sturm_count(rows, low + width * steps[mid]) < target:
+                    k = mid + 1
+                else:
+                    last = mid
+            if k:
+                bracket[0] = low + width * steps[k - 1]
+            if k < MULTISECTION_SHIFTS:
+                bracket[1] = low + width * steps[k]
     with np.errstate(over="ignore"):
-        mid = np.ldexp(brackets.mean(axis=1), exponent)
+        mid = np.ldexp(np.mean(brackets, axis=1), exponent)
     return float(mid[0]), float(mid[1])
 

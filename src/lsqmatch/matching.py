@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inverter import (
-    EPSILON, InversionReport, InversionStatus, ScaleFactorKind, invert, scale_factor
+    EPSILON, InversionReport, InversionStatus, ScaleFactorKind, check_epsilon, invert, scale_factor
 )
 from .linalg import as_matrix, binary_exponent, gram
 
@@ -92,6 +92,7 @@ def solve_transform(x, m, *, scale_kind=SCALE_KIND, epsilon=EPSILON) -> MatchRes
     ``TypeError`` when ``scale_kind`` is not a :class:`ScaleFactorKind`, and
     ``ValueError`` when T overflows or ``epsilon`` is outside (0, 1).
     """
+    check_epsilon(epsilon)
     x = as_matrix(x)
     m = as_matrix(m)
     if x.shape[0] != m.shape[0]:

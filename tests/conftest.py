@@ -1,6 +1,13 @@
 import pytest
 
+from lsqmatch import bench
 from lsqmatch.matio import load_matrix
+
+
+@pytest.fixture(scope="session")
+def mt_records():
+    """One default-grid ``bench mt`` run at seed 42, shared by every test that reads it."""
+    return bench.run_mt_suite(seed=42)
 
 
 @pytest.fixture

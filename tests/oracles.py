@@ -5,7 +5,7 @@ import pytest
 
 from lsqmatch.generate import derive_seed, more_toraldo, uniform_pattern
 from lsqmatch.inverter import invert
-from lsqmatch.linalg import symmetrize
+from lsqmatch.linalg import MULTISECTION_SHIFTS, _tridiagonalize, binary_exponent, symmetrize
 
 #: Largest exponent accepted by :func:`neumann_partial_sum` (2^t - 1 products).
 NEUMANN_MAX_T = 20
@@ -117,3 +117,67 @@ def iterate_to(a, t: int) -> np.ndarray:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("lsqmatch.inverter.MAX_ITERATIONS", t)
         return invert(a, epsilon=1e-300).inverse
+
+
+def vectorized_sturm_counts(d, e2, shifts) -> np.ndarray:
+    """Eigenvalues of the tridiagonal (d, e**2) below each shift, for all shifts at once.
+
+    The clear sign bits of p_i = (shift - d_i) - e2_{i-1} / p_{i-1} in one
+    n x S array, with numpy's IEEE quotients: a zero pivot gives +-inf, and a
+    row under a zero e2 takes no quotient.
+    """
+    p = shifts - d[:, None]
+    rows, quotient = list(p), np.empty_like(shifts)
+    with np.errstate(divide="ignore", over="ignore"):
+        for e2_above, above, row in zip(e2.tolist(), rows, rows[1:]):
+            if e2_above:
+                np.divide(e2_above, above, out=quotient)
+                np.subtract(row, quotient, out=row)
+    return (~np.signbit(p)).sum(axis=0)
+
+
+def vectorized_multisection(z):
+    """``extreme_eigenvalues`` with every shift of every step counted: the reference for its bits.
+
+    Returns ``(low, high)``, the tridiagonal (d, e**2) the steps count on,
+    and each step's 2 x ``MULTISECTION_SHIFTS`` shifts, the row of the
+    smallest eigenvalue's bracket first.  A step moves each bracket to the
+    shifts on either side of the first one with at least ``target``
+    eigenvalues below it, counting how many fall short; both brackets are
+    refined until both are within tolerance.
+    """
+    s = symmetrize(z)
+    exponent = binary_exponent(s)
+    a = np.ldexp(s, -exponent)
+    n = a.shape[0]
+    d, e = _tridiagonalize(a)
+    e2 = e * e
+    eps = np.finfo(np.float64).eps
+    abs_e = np.abs(e)
+    radius = np.r_[0.0, abs_e] + np.r_[abs_e, 0.0]
+    lo, hi = float((d - radius).min()), float((d + radius).max())
+    tnorm = max(abs(lo), abs(hi))
+    pad = 2.0 * n * eps * tnorm
+    floor = 0.5 * eps * tnorm
+    brackets = np.array([[lo - pad, hi + pad], [lo - pad, hi + pad]])
+    target = np.array([[1], [n]])
+    steps = np.arange(1, MULTISECTION_SHIFTS + 1) / (MULTISECTION_SHIFTS + 1)
+    searched = []
+    while True:
+        lows, highs = brackets[:, 0], brackets[:, 1]
+        width = highs - lows
+        tol = np.maximum(2.0 * eps * np.maximum(np.abs(lows), np.abs(highs)), floor)
+        if np.all(width <= tol):
+            break
+        shifts = lows[:, None] + width[:, None] * steps
+        searched.append(shifts)
+        below = vectorized_sturm_counts(d, e2, shifts.ravel()).reshape(shifts.shape) < target
+        k = below.sum(axis=1)
+        for row in range(2):
+            if k[row]:
+                brackets[row, 0] = shifts[row, k[row] - 1]
+            if k[row] < MULTISECTION_SHIFTS:
+                brackets[row, 1] = shifts[row, k[row]]
+    with np.errstate(over="ignore"):
+        mid = np.ldexp(brackets.mean(axis=1), exponent)
+    return (float(mid[0]), float(mid[1])), (d, e2), searched

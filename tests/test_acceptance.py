@@ -12,6 +12,7 @@ import time
 import numpy as np
 from oracles import gaussian_solve, iterate_to, mix64, neumann_partial_sum, rescaled_test_matrix
 
+from lsqmatch.bench import RECORDS
 from lsqmatch.cli import main as cli_main
 from lsqmatch.generate import derive_seed, more_toraldo, uniform_pattern
 from lsqmatch.inverter import ScaleFactorKind, invert, scale_factor
@@ -250,11 +251,13 @@ def test_mt_records_match_recorded_digest(tmp_path):
     _assert_recorded_digest(tmp_path, "mt")
 
 
-def test_criterion_10_benchmark_determinism(tmp_path):
-    """Two benchmark runs with the same seed emit byte-identical CSV."""
-    first = tmp_path / "first.csv"
-    second = tmp_path / "second.csv"
-    assert cli_main(["bench", "mt", "--seed", "42", "--out", str(first)]) == 0
-    assert cli_main(["bench", "mt", "--seed", "42", "--out", str(second)]) == 0
-    assert first.read_bytes() == second.read_bytes()
-    assert first.read_text().splitlines()[0] == "family,n,m,kappa,alpha,iterations,converged,seed"
+def test_criterion_10_benchmark_determinism(tmp_path, mt_records):
+    """Two benchmark runs with the same seed emit byte-identical CSV.
+
+    The first is the session's shared ``bench mt --seed 42`` run, written as
+    the CLI writes it; the second is a fresh CLI run.
+    """
+    out = tmp_path / "mt.csv"
+    assert cli_main(["bench", "mt", "--seed", "42", "--out", str(out)]) == 0
+    assert out.read_bytes() == RECORDS.to_csv(mt_records).encode("ascii")
+    assert out.read_text().splitlines()[0] == "family,n,m,kappa,alpha,iterations,converged,seed"

@@ -10,12 +10,6 @@ from lsqmatch.generate import derive_seed
 from lsqmatch.inverter import ScaleFactorKind
 
 
-@pytest.fixture(scope="module")
-def mt_records():
-    """One full default-grid run shared by the slow suite-level tests."""
-    return bench.run_mt_suite(seed=42)
-
-
 def _rec(**overrides):
     base = dict(
         family="mt",

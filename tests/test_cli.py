@@ -117,6 +117,16 @@ def test_solve_singular_system_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_solve_bad_eps_on_a_singular_system_names_epsilon(tmp_path, capsys):
+    x_path, m_path = tmp_path / "x.txt", tmp_path / "m.txt"
+    save_matrix(x_path, np.zeros((4, 2)))
+    save_matrix(m_path, np.ones((4, 1)))
+
+    rc = main(["solve", "--x", str(x_path), "--m", str(m_path), "--eps", "2"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: epsilon must lie in (0, 1), got 2.0\n"
+
+
 def test_solve_stalled_inversion_exits_one(tmp_path, capsys):
     x = np.array([[1.0], [2.0], [3.0]])
     x_path, m_path = tmp_path / "x.txt", tmp_path / "m.txt"

@@ -4,6 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oracles import vectorized_multisection, vectorized_sturm_counts
+
 import lsqmatch.linalg as la
 from lsqmatch.generate import more_toraldo, uniform_pattern
 from lsqmatch.inverter import ScaleFactorKind, invert, scale_factor
@@ -332,6 +334,11 @@ def test_extreme_eigenvalues_structured():
             assert ends == (0.0, 0.0) and not np.signbit(ends).any()
 
 
+def _rows(d, e2):
+    """The rows ``_sturm_count`` takes: (d_i, e2_{i-1}) as Python floats, 0.0 above row 0."""
+    return list(zip(np.asarray(d).tolist(), [0.0, *np.asarray(e2).tolist()]))
+
+
 def _scalar_sturm_count(d, e2, pivmin, shift):
     """Negative LDL' pivots of T - shift I, one row at a time, as dstebz counts them.
 
@@ -350,15 +357,16 @@ def _scalar_sturm_count(d, e2, pivmin, shift):
 
 
 def test_sturm_counts_where_dstebz_floors():
-    """The unfloored pass counts correctly where dstebz's scalar recurrence floors.
+    """The unfloored count is correct where dstebz's scalar recurrence floors.
 
     Shifts equal to diagonal entries give pivots of exactly 0, shifts of
     +-pivmin/2 beside a zero diagonal entry give pivots strictly inside
     (-pivmin, pivmin), and zero off-diagonals (a split tridiagonal) put such
     pivots below the first row.  Where the reference floors no pivot the
-    counts are equal; everywhere they are within rounding of the spectrum and
-    never fall as the shift grows.  A floored count can be off: in the fourth
-    case the reference counts 3 eigenvalues below 0.5, where there are 2.
+    counts are equal; everywhere they are within rounding of the spectrum,
+    never fall as the shift grows, and equal the vectorized pass's, a -0.0
+    shift included.  A floored count can be off: in the fourth case the
+    reference counts 3 eigenvalues below 0.5, where there are 2.
     """
     tiny = np.finfo(np.float64).tiny
     rng = np.random.default_rng(11)
@@ -378,7 +386,9 @@ def test_sturm_counts_where_dstebz_floors():
         reference = [
             _scalar_sturm_count(d.tolist(), e2.tolist(), pivmin, s) for s in shifts.tolist()
         ]
-        counts = la._sturm_counts(d, e2, shifts)
+        rows = _rows(d, e2)
+        counts = np.array([la._sturm_count(rows, s) for s in shifts.tolist()])
+        assert np.array_equal(counts, vectorized_sturm_counts(d, e2, shifts)), (d, e)
         for count, (expected, pivots) in zip(counts.tolist(), reference):
             assert pivots or count == expected, (d, e)
         lam = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
@@ -393,28 +403,99 @@ def test_sturm_counts_where_dstebz_floors():
     assert {(0, False), (0, True), (2, False), (2, True)} <= floored
 
 
-def test_sturm_counts_divide_once_per_nonzero_e2(monkeypatch):
-    """One ``np.divide`` per nonzero e2 entry and call, so none on the identity.
+def test_sturm_count_takes_no_quotient_under_a_zero_e2():
+    """A +-0.0 pivot directly above a zero off-diagonal leaves the next row alone.
 
-    A row under a zero off-diagonal takes no quotient, so the identity, whose
-    tridiagonal has a zero off-diagonal, costs no division at all.
+    The count of a split tridiagonal is then the sum of its blocks' counts;
+    a quotient there would be +-inf and flip the next row's sign.  The
+    pivot is +0.0 at shift 0 both as shift - d_0 and as (0 - 0.5) - 0.25 /
+    (-0.5) below a coupled row, and -0.0 as -0.0 - 0.0.
     """
-    divisions = []
-    divide = np.divide
-
-    def counting_divide(*args, **kwargs):
-        divisions.append(None)
-        return divide(*args, **kwargs)
-
-    monkeypatch.setattr(np, "divide", counting_divide)
-    shifts = np.linspace(-2.0, 2.0, 9)
-    for e in (np.array([0.75, 0.0, 0.5, 0.0, 0.25]), np.zeros(5), np.full(5, 0.5)):
-        divisions.clear()
-        la._sturm_counts(np.linspace(-1.0, 1.0, 6), e * e, shifts)
-        assert len(divisions) == np.count_nonzero(e)
-    divisions.clear()
+    cases = [
+        (_rows([0.0], []), _rows([-0.5], []), 0.0),
+        (_rows([0.0], []), _rows([0.5], []), -0.0),
+        (_rows([0.5, 0.5], [0.25]), _rows([-0.5, 0.25], [0.0]), 0.0),
+        (_rows([0.5, 0.5], [0.25]), _rows([-0.5, 0.75], [0.0]), 0.0),
+    ]
+    for top, bottom, shift in cases:
+        blocks = la._sturm_count(top, shift) + la._sturm_count(bottom, shift)
+        assert la._sturm_count(top + bottom, shift) == blocks, (top, bottom, shift)
     assert la.extreme_eigenvalues(np.eye(64)) == (1.0, 1.0)
-    assert divisions == []
+
+
+def _tridiagonal(d, e):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+def _tridiagonal_cases():
+    """Random tridiagonals, and split ones with zero off-diagonals and repeated diagonals."""
+    rng = np.random.default_rng(32)
+    for n in (1, 2, 3, 5, 8, 12, 32):
+        for _ in range(4):
+            d, e = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n - 1)
+            yield d, e
+            yield np.where(rng.random(n) < 0.3, 0.0, d), np.where(rng.random(n - 1) < 0.4, 0.0, e)
+            yield rng.choice([-0.5, 0.0, 0.5], n), np.where(rng.random(n - 1) < 0.5, 0.0, e)
+
+
+def test_sturm_count_never_falls_across_a_searched_step():
+    """Over the shifts of every multisection step, the count never falls.
+
+    The binary search of ``extreme_eigenvalues`` finds the first shift of a
+    step that reaches its target; it finds the vectorized pass's bracket only
+    because the count is monotone in the shift, which is checked here on every
+    step of the reference, shift by shift.
+    """
+    steps = 0
+    for d, e in _tridiagonal_cases():
+        ends, (dt, e2), searched = vectorized_multisection(_tridiagonal(d, e))
+        rows = _rows(dt, e2)
+        for shifts in searched:
+            reference = vectorized_sturm_counts(dt, e2, shifts.ravel()).reshape(shifts.shape)
+            for row, expected in zip(shifts.tolist(), reference.tolist()):
+                counts = [la._sturm_count(rows, s) for s in row]
+                assert counts == sorted(counts) == expected, (d, e)
+            steps += 1
+        assert la.extreme_eigenvalues(_tridiagonal(d, e)) == ends
+    assert steps == 640
+
+
+def _bit_identity_cases():
+    """Seeded matrices of many kinds and sizes, n = 1 to 256."""
+    for n in [*range(1, 13), 16, 17, 32, 33, 64, 100, 128, 256]:
+        for seed in range(6 if n <= 17 else 2 if n < 256 else 1):
+            base = 1000 * n + seed
+            x = uniform_pattern(2 * n, n, base)
+            g = la.gram(x)
+            yield g
+            yield g * 1e300
+            yield g * 1e-300
+            u = uniform_pattern(n, n, base + 1)
+            yield u + u.T - 1.0
+            yield np.diag(uniform_pattern(n, 1, base + 2)[:, 0] - 0.5)
+            if n > 1:
+                x[:, 1] = x[:, 0]
+                yield la.gram(x)
+            if not seed:
+                yield np.ones((n, n))
+                yield np.zeros((n, n))
+                # Both ends of one sign, with ratio 0.885: the end farther
+                # from 0 has the larger tolerance and meets it a step before
+                # the other, and its bracket keeps narrowing until both do.
+                ladder = np.diag(np.linspace(0.885, 1.0, n))
+                yield ladder
+                yield -ladder
+
+
+def test_extreme_eigenvalues_bit_identical_to_vectorized_multisection():
+    """``(low, high)`` is byte-equal to the reference that counts every shift of a step."""
+    count = 0
+    for z in _bit_identity_cases():
+        expected, _, _ = vectorized_multisection(z)
+        got = la.extreme_eigenvalues(z)
+        assert np.array(got).tobytes() == np.array(expected).tobytes(), (z.shape, got, expected)
+        count += 1
+    assert count == 644
 
 
 def test_extreme_eigenvalues_rejects_asymmetric():

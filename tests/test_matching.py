@@ -198,6 +198,17 @@ def test_zero_pattern_rejected():
         solve_transform(np.zeros((6, 3)), np.ones((6, 2)))
 
 
+def test_bad_epsilon_rejected_before_the_gram_matrix(monkeypatch):
+    # On a singular X, a bad epsilon is named as such, not read as a singular system.
+    def no_gram(x):
+        raise AssertionError("gram called before epsilon was checked")
+
+    monkeypatch.setattr("lsqmatch.matching.gram", no_gram)
+    for epsilon in (2.0, math.nan, 0.0, 1.0, -0.5):
+        with pytest.raises(ValueError, match=f"epsilon must lie in \\(0, 1\\), got {epsilon}"):
+            solve_transform(np.zeros((4, 2)), np.ones((4, 1)), epsilon=epsilon)
+
+
 EXTREME_X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 EXTREME_M = EXTREME_X @ np.array([[2.0, 1.0], [0.0, 3.0]])
 
