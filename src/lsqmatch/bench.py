@@ -6,8 +6,8 @@ spectrum (family token ``mt``) and Gram matrices of uniform random patterns
 loop scales and inverts each cell's matrix for each scale kind and records
 the result.  ``mt`` always runs all three kinds, ``table1`` the two
 that need no spectrum.  Iteration counts per scale factor follow simple
-empirical laws in log2(kappa) and log2(n), one ``LAWS`` entry each;
-``fit_laws`` measures deviations against those reference lines.
+empirical laws in log2(kappa) and log2(n), one ``LAWS`` entry each, keyed by
+the law's token; ``fit_laws`` measures deviations against those reference lines.
 
 All randomness is derived from one run seed, so identical invocations emit
 byte-identical CSV.
@@ -25,7 +25,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .generate import derive_seed, more_toraldo, uniform_pattern
-from .inverter import ScaleFactorKind, invert, scale_factor
+from .inverter import ScaleFactorKind, scale_and_invert
 from .linalg import extreme_eigenvalues, gram
 
 #: Conditioned-family default grid: three sizes crossed with four condition numbers.
@@ -38,13 +38,14 @@ DEFAULT_TRIALS = 10
 #: Empirical additive constant of the N2 law.
 N2_CONSTANT = 2.433
 
-#: The iteration-count law of each scale kind: its token, its predicted count
-#: as a function of (log2 kappa, log2 n), and the (max |mean deviation|, max
-#: absolute deviation) that ``check_fits`` tolerates.
+#: The iteration-count laws by token: the family and scale kind each law
+#: predicts, its count as a function of (log2 kappa, log2 n), and the (max
+#: |mean deviation|, max absolute deviation) that ``check_fits`` tolerates.
 LAWS = {
-    ScaleFactorKind.OPTIMAL: ("N0", lambda lk, ln: lk + 3.0, (math.inf, 1.0)),
-    ScaleFactorKind.TRACE: ("N1", lambda lk, ln: lk + ln + 1.0, (math.inf, 1.0)),
-    ScaleFactorKind.GERSHGORIN: ("N2", lambda lk, ln: lk + ln / 3.0 + N2_CONSTANT, (0.7, math.inf)),
+    "N0": ("mt", ScaleFactorKind.OPTIMAL, lambda lk, ln: lk + 3.0, (math.inf, 1.0)),
+    "N1": ("mt", ScaleFactorKind.TRACE, lambda lk, ln: lk + ln + 1.0, (math.inf, 1.0)),
+    "N2": ("mt", ScaleFactorKind.GERSHGORIN,
+           lambda lk, ln: lk + ln / 3.0 + N2_CONSTANT, (0.7, math.inf)),
 }
 
 
@@ -101,27 +102,27 @@ class CellSummary:
     trials: int
 
 
-def predicted_iterations(kind: ScaleFactorKind, n: int, kappa: float) -> float:
-    """The count ``LAWS[kind]`` predicts at size n, condition kappa.
+def predicted_iterations(law: str, n: int, kappa: float) -> float:
+    """The count ``LAWS[law]`` predicts at size n, condition kappa.
 
-    The TRACE line log2(kappa) + log2(n) + 1 is the paper's approximate law:
+    The N1 (trace) line log2(kappa) + log2(n) + 1 is the paper's approximate law:
     it drops the kappa-dependent term log2(trace / (kappa n)) of the exact
     contraction threshold, so at large kappa whole cells stop one iteration
     below it.  It is held only to +-1 per trial, which is why N1's tolerance
     has no mean bound.
     """
-    _, line, _ = LAWS[kind]
+    _, _, line, _ = LAWS[law]
     return line(math.log2(kappa), math.log2(n))
 
 
 def _run_trials(grid, build, kinds, trials_per_cell, seed) -> list[TrialRecord]:
-    """The one trial loop: for each cell, trial and kind, scale and invert.
+    """The one trial loop: for each cell, trial and kind, one ``scale_and_invert`` step.
 
     Trial t of cell i has seed ``derive_seed(seed, i * trials_per_cell + t)``,
     and ``build(cell, seed)`` gives its ``(family, n, m, kappa, extremes, z)``,
     ``extremes`` being z's known ``(low, high)`` spectrum or None.  A matrix
     with no scale factor (a zero trace, say) gives a 0-iteration, non-converged
-    record.  Every trial inverts at ``invert``'s default epsilon, as fit_laws assumes.
+    record.  Every trial runs the plain recurrence at the default epsilon, as fit_laws assumes.
     """
     if not grid:
         raise ValueError("grid must not be empty")
@@ -134,11 +135,10 @@ def _run_trials(grid, build, kinds, trials_per_cell, seed) -> list[TrialRecord]:
             *head, extremes, z = build(cell, child)
             for kind in kinds:
                 try:
-                    alpha = scale_factor(z, kind, extremes)
+                    _, report = scale_and_invert(z, kind, extremes)
                 except ValueError:
                     iterations, converged = 0, False
                 else:
-                    report = invert(z * alpha)
                     iterations, converged = report.iterations, report.converged
                 records.append(TrialRecord(*head, kind, iterations, converged, child))
     return records
@@ -203,7 +203,7 @@ def summarize_cells(records: list[TrialRecord]) -> list[CellSummary]:
 
 
 def fit_laws(records: list[TrialRecord]) -> list[LawFit]:
-    """Deviation of observed counts from each scale kind's reference law.
+    """Deviation of observed counts from each law that matches their family and kind.
 
     Expects conditioned-family records (exact, finite kappa).  Non-converged
     trials are excluded from the statistics; an empty record set is an error.
@@ -217,23 +217,16 @@ def fit_laws(records: list[TrialRecord]) -> list[LawFit]:
                 f"record {index} has family {r.family!r}, kappa {r.kappa!r}"
             )
     fits = []
-    for kind, (token, _, _) in LAWS.items():
+    for law, (family, kind, _, _) in LAWS.items():
         devs = [
-            r.iterations - predicted_iterations(kind, r.n, r.kappa)
+            r.iterations - predicted_iterations(law, r.n, r.kappa)
             for r in records
-            if r.scale_kind is kind and r.converged
+            if r.family == family and r.scale_kind is kind and r.converged
         ]
         if not devs:
             continue
         arr = np.asarray(devs)
-        fits.append(
-            LawFit(
-                law=token,
-                mean_deviation=float(arr.mean()),
-                max_abs_deviation=float(np.abs(arr).max()),
-                trials=int(arr.size),
-            )
-        )
+        fits.append(LawFit(law, float(arr.mean()), float(np.abs(arr).max()), int(arr.size)))
     if not fits:
         raise ValueError("no converged trials to fit")
     return fits
@@ -352,10 +345,9 @@ def check_records(records: list[TrialRecord]) -> list[str]:
 
 def check_fits(fits: list[LawFit]) -> list[str]:
     """Problems that fail a law fit: deviations beyond its law's tolerance in ``LAWS``."""
-    tolerances = {token: tolerance for token, _, tolerance in LAWS.values()}
     problems = []
     for f in fits:
-        mean_tol, max_tol = tolerances[f.law]
+        mean_tol, max_tol = LAWS[f.law][3]
         if abs(f.mean_deviation) > mean_tol:
             problems.append(
                 f"{f.law}: |mean deviation| {abs(f.mean_deviation):.3f} exceeds {mean_tol}"

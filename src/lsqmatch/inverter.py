@@ -12,7 +12,8 @@ check on d serves all three.  ``iteration_bound`` turns the contraction into a
 count for the plain process.  ``invert`` validates A once and runs the
 process without allocating per step, plainly or self-scaled:
 V_{t+1} = beta_t U_{t+1} V_t, with one scalar gain per update that
-recentres the spectrum of V_{t+1} A on 1.
+recentres the spectrum of V_{t+1} A on 1.  ``scale_and_invert`` is the one
+step that callers run: it scales Z by its alpha and inverts alpha Z.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def scale_factor(
     takes min z_ii + max_i sum_j |z_ij|.  Raises ``TypeError`` when ``kind``
     is not a :class:`ScaleFactorKind`, and ``ValueError`` when ``z`` is not
     positive definite (d is not positive or the extremes are not
-    0 < low <= high) and when d overflows, where alpha would read 0.
+    0 < low <= high) and when 2/d leaves (0, inf), as at d = inf or d < 1.1e-308.
 
     For a positive definite n x n ``z`` with n >= 2, no kind puts an
     eigenvalue of alpha * Z at 2: alpha0 centres the spectrum on 1; alpha2
@@ -70,9 +71,10 @@ def scale_factor(
             raise TypeError(f"kind must be a ScaleFactorKind, got {kind!r}")
     if not d > 0.0:
         raise ValueError(f"matrix is not positive definite: scale denominator = {d}")
-    if d == math.inf:
-        raise ValueError("scale denominator overflows the float64 range")
-    return 2.0 / d
+    alpha = 2.0 / float(d)  # a float quotient overflows to inf without a numpy warning
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"scale factor 2/d overflows the float64 range at d = {d}")
+    return alpha
 
 
 #: Matrix-vector power steps per self-scaled update that refresh the estimate of ||I - V A||_2.
@@ -189,6 +191,18 @@ def invert(a, epsilon=EPSILON, self_scaled=False) -> InversionReport:
                 p_diag = p.reshape(-1)[:: n + 1]
 
 
+def scale_and_invert(
+    z, kind, extremes=None, epsilon=EPSILON, self_scaled=False
+) -> tuple[float, InversionReport]:
+    """Scale ``z`` by ``alpha = scale_factor(z, kind, extremes)`` and invert alpha Z.
+
+    Returns ``(alpha, invert(z * alpha, epsilon, self_scaled))`` and raises
+    what those two raise; alpha times the report's inverse approximates Z^-1.
+    """
+    alpha = scale_factor(z, kind, extremes)
+    return alpha, invert(z * alpha, epsilon, self_scaled)
+
+
 def _stop_status(history, eps, max_iter) -> InversionStatus | None:
     """Why the run stops after the residuals ``history``, or None to go on.
 
@@ -241,7 +255,7 @@ def iteration_bound(low: float, high: float, epsilon: float) -> int:
     updates is c^(2^t), so the count is ceil(log2(ln eps / ln c)), clamped at
     0 (and 0 when c = 0).  The entrywise stopping rule of :func:`invert` can
     stop earlier, never later, and so can a self-scaled run.  Raises
-    ``ValueError`` unless c < 1 and 0 < eps < 1.
+    ``ValueError`` unless c < 1, with neither end NaN, and 0 < eps < 1.
 
     No production path calls it yet.  It is the library's one exact count
     of the plain recurrence, which the benchmark suites run, kept for the
@@ -249,8 +263,8 @@ def iteration_bound(low: float, high: float, epsilon: float) -> int:
     counts.  A self-scaled run contracts as rho <- rho^2 / (2 - rho^2) and
     is not counted by it.
     """
-    contraction = max(abs(1.0 - low), abs(1.0 - high))
-    if not contraction < 1.0:
+    contraction = max(abs(1.0 - low), abs(1.0 - high))  # max drops a NaN in second place
+    if not contraction < 1.0 or math.isnan(low + high):
         raise ValueError(f"rescaled spectrum [{low}, {high}] must lie inside (0, 2)")
     check_epsilon(epsilon)
     if contraction == 0.0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inverter import (
-    EPSILON, InversionReport, InversionStatus, ScaleFactorKind, check_epsilon, invert, scale_factor
+    EPSILON, InversionReport, InversionStatus, ScaleFactorKind, check_epsilon, scale_and_invert
 )
 from .linalg import as_matrix, binary_exponent, gram
 
@@ -83,7 +83,7 @@ def solve_transform(x, m, *, scale_kind=SCALE_KIND, epsilon=EPSILON) -> MatchRes
 
     ``x`` is the source pattern (rows are observations), ``m`` the target with
     the same row count; ``x`` must have at least as many rows as columns.
-    ``scale_kind`` picks alpha and ``epsilon`` is :func:`invert`'s threshold.
+    ``scale_kind`` picks alpha and ``epsilon`` is :func:`scale_and_invert`'s threshold.
     Raises :class:`InversionStalledError` when alpha1 puts a one-column X'X at 2,
     :class:`IterationCapError` when the inversion reaches its cap of
     ``inverter.MAX_ITERATIONS`` updates, :class:`SingularSystemError` when X'X
@@ -92,7 +92,7 @@ def solve_transform(x, m, *, scale_kind=SCALE_KIND, epsilon=EPSILON) -> MatchRes
     ``TypeError`` when ``scale_kind`` is not a :class:`ScaleFactorKind`, and
     ``ValueError`` when T overflows or ``epsilon`` is outside (0, 1).
     """
-    check_epsilon(epsilon)
+    check_epsilon(epsilon)  # here, since a ValueError from the step means "singular"
     x = as_matrix(x)
     m = as_matrix(m)
     if x.shape[0] != m.shape[0]:
@@ -114,11 +114,9 @@ def solve_transform(x, m, *, scale_kind=SCALE_KIND, epsilon=EPSILON) -> MatchRes
         m = np.ldexp(m, -km)
     z = gram(x)
     try:
-        alpha = scale_factor(z, scale_kind)
+        alpha, report = scale_and_invert(z, scale_kind, epsilon=epsilon, self_scaled=True)
     except ValueError as exc:
         raise SingularSystemError(f"singular system: {exc}") from exc
-
-    report = invert(z * alpha, epsilon, self_scaled=True)
     if report.status is InversionStatus.HIT_CAP:
         raise IterationCapError(
             f"inversion hit the iteration cap of {report.iterations} iterations "

@@ -51,20 +51,35 @@ def test_fit_validation():
 
 
 def test_predicted_iteration_laws():
-    assert bench.predicted_iterations(ScaleFactorKind.OPTIMAL, 16, 64.0) == 9.0
-    assert bench.predicted_iterations(ScaleFactorKind.TRACE, 16, 64.0) == 11.0
+    assert bench.predicted_iterations("N0", 16, 64.0) == 9.0
+    assert bench.predicted_iterations("N1", 16, 64.0) == 11.0
     expect = 6.0 + 4.0 / 3.0 + 2.433
-    assert abs(bench.predicted_iterations(ScaleFactorKind.GERSHGORIN, 16, 64.0) - expect) < 1e-12
+    assert abs(bench.predicted_iterations("N2", 16, 64.0) - expect) < 1e-12
 
 
 def test_law_lookups_reject_unknown_keys():
-    # A token or None is not a kind, and an unknown law has no tolerance:
-    # neither may fall back to some law's line or to no bound.
-    for kind in ("alpha0", None):
+    # A kind, None or an unknown token is not a law, and an unknown law has no
+    # tolerance: none may fall back to some law's line or to no bound.
+    for law in (ScaleFactorKind.OPTIMAL, None, "N9"):
         with pytest.raises(KeyError):
-            bench.predicted_iterations(kind, 16, 64.0)
+            bench.predicted_iterations(law, 16, 64.0)
     with pytest.raises(KeyError):
         bench.check_fits([bench.LawFit("N9", 100.0, 100.0, 1)])
+
+
+def test_a_second_law_for_a_kind_is_one_more_entry(monkeypatch):
+    """A LAWS entry for a kind that has a law adds one fit, checked by its own tolerance."""
+    laws = dict(bench.LAWS)
+    laws["N0b"] = ("mt", ScaleFactorKind.OPTIMAL, lambda lk, ln: lk + 2.0, (0.5, math.inf))
+    laws["U0"] = ("uniform", ScaleFactorKind.OPTIMAL, lambda lk, ln: 0.0, (0.0, 0.0))  # no match
+    monkeypatch.setattr(bench, "LAWS", laws)
+    records = [_rec(seed=trial) for trial in range(3)]  # 9 iterations at kappa 64
+    fits = {f.law: f for f in bench.fit_laws(records)}
+    assert sorted(fits) == ["N0", "N0b"]
+    assert fits["N0"] == bench.LawFit("N0", 0.0, 0.0, 3)
+    assert fits["N0b"] == bench.LawFit("N0b", 1.0, 1.0, 3)
+    assert bench.check_fits([fits["N0"]]) == []
+    assert bench.check_fits([fits["N0b"]]) == ["N0b: |mean deviation| 1.000 exceeds 0.5"]
 
 
 def test_mt_suite_single_cell():

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import iterate_to, neumann_partial_sum, rescaled_test_matrix
 
-from lsqmatch.generate import derive_seed, more_toraldo
+from lsqmatch.generate import derive_seed, more_toraldo, uniform_pattern
 from lsqmatch.inverter import (
     EPSILON,
     MAX_ITERATIONS,
@@ -13,8 +13,10 @@ from lsqmatch.inverter import (
     ScaleFactorKind,
     invert,
     iteration_bound,
+    scale_and_invert,
     scale_factor,
 )
+from lsqmatch.linalg import extreme_eigenvalues, gram
 
 
 def _spectral_norm(resid):
@@ -209,7 +211,8 @@ def test_threshold_examples():
     assert iteration_bound(1.0 - 1e-10, 1.0 + 1e-10, 1e-6) == 0  # clamped
     assert iteration_bound(0.9, 1.0, 1e-6) == 3  # only the end farther from 1 counts
     for low, high, eps in ((0.0, 1.0, 1e-6), (1.0, 2.0, 1e-6), (-0.5, 1.0, 1e-6),
-                           (math.nan, 1.0, 1e-6), (0.5, 1.5, 1.5), (0.5, 1.5, 0.0)):
+                           (math.nan, 1.0, 1e-6), (0.5, math.nan, 1e-6), (0.5, 1.5, 1.5),
+                           (0.5, 1.5, 0.0)):
         with pytest.raises(ValueError):
             iteration_bound(low, high, eps)
 
@@ -241,3 +244,22 @@ def test_predictor_for_trace_factor():
             assert count <= math.ceil(paper)
             optimal = scale_factor(z, ScaleFactorKind.OPTIMAL, (1.0, kappa))
             assert count >= iteration_bound(optimal, optimal * kappa, 1e-6)
+
+
+@pytest.mark.parametrize("self_scaled", [False, True], ids=["plain", "self-scaled"])
+@pytest.mark.parametrize("kind", list(ScaleFactorKind), ids=lambda k: k.value)
+def test_scale_and_invert_is_scale_factor_then_invert(kind, self_scaled):
+    """The step gives the bits of scale_factor, then invert(z * alpha), on both families."""
+    _, mt = more_toraldo(16, 1024.0, 5)
+    uniform = gram(uniform_pattern(48, 12, 6))
+    for z, (low, high) in ((mt, (1.0, 1024.0)), (uniform, extreme_eigenvalues(uniform))):
+        for extremes in (None, (low, high), (low / 2.0, 2.0 * high)):
+            alpha, report = scale_and_invert(z, kind, extremes, 1e-8, self_scaled)
+            expect_alpha = scale_factor(z, kind, extremes)
+            expect = invert(z * expect_alpha, 1e-8, self_scaled)
+            assert alpha == expect_alpha
+            assert np.array_equal(report.inverse, expect.inverse)
+            assert np.array_equal(report.residual_history, expect.residual_history)
+            assert report.status is expect.status is InversionStatus.CONVERGED
+    with pytest.raises(ValueError, match="not positive definite"):
+        scale_and_invert(np.zeros((3, 3)), kind)

@@ -98,7 +98,7 @@ def test_scale_factor_dispatch():
 
 
 def test_scale_denominator_overflow_is_rejected():
-    """A denominator beyond the float64 range is an error, not alpha = 0, and no warning."""
+    """An alpha = 2/d beyond the float64 range is an error, not 0 or inf, and no warning."""
     big = np.diag([1e308, 1e308])
     for kind in (OPTIMAL, TRACE, GERSHGORIN):
         with pytest.raises(ValueError, match="overflows the float64 range"):
@@ -113,6 +113,13 @@ def test_scale_denominator_overflow_is_rejected():
         sc.scale_factor(near, OPTIMAL)
     with pytest.raises(ValueError, match="overflows the float64 range"):
         sc.scale_factor(np.eye(2), OPTIMAL, (1.0, math.inf))
+    # A subnormal denominator makes alpha = 2/d overflow to inf, for every kind.
+    for tiny in (1e-320, np.float64(1e-320)):
+        with pytest.raises(ValueError, match="overflows the float64 range"):
+            sc.scale_factor(np.eye(2), OPTIMAL, (tiny, tiny))
+    for kind in (OPTIMAL, TRACE, GERSHGORIN):
+        with pytest.raises(ValueError, match="overflows the float64 range"):
+            sc.scale_factor(1e-320 * np.eye(2), kind)
 
 
 def _spd_samples():
