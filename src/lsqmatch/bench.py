@@ -205,13 +205,15 @@ def summarize_cells(records: list[TrialRecord]) -> list[CellSummary]:
 def fit_laws(records: list[TrialRecord]) -> list[LawFit]:
     """Deviation of observed counts from each law that matches their family and kind.
 
-    Expects conditioned-family records (exact, finite kappa).  Non-converged
-    trials are excluded from the statistics; an empty record set is an error.
+    Expects records of a family that a ``LAWS`` entry names, with finite
+    kappa.  Non-converged trials are excluded from the statistics; an empty
+    record set is an error.
     """
     if not records:
         raise ValueError("cannot fit laws to an empty record set")
+    families = {family for family, _, _, _ in LAWS.values()}
     for index, r in enumerate(records, 1):
-        if r.family != "mt" or not math.isfinite(r.kappa):
+        if r.family not in families or not math.isfinite(r.kappa):
             raise ValueError(
                 "law fitting needs conditioned-family records with exact, finite kappa; "
                 f"record {index} has family {r.family!r}, kappa {r.kappa!r}"

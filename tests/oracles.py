@@ -32,6 +32,11 @@ def neumann_partial_sum(a, t: int) -> np.ndarray:
     return total
 
 
+def spectral_norm(resid) -> float:
+    """Spectral norm of the symmetric part of a residual, from numpy's eigenvalues."""
+    return float(np.abs(np.linalg.eigvalsh((resid + resid.T) * 0.5)).max())
+
+
 def self_scaled_count(rho: float, eps: float) -> int:
     """Updates until rho <- rho^2 / (2 - rho^2), from ``rho``, drops below ``eps``.
 

@@ -82,6 +82,16 @@ def test_a_second_law_for_a_kind_is_one_more_entry(monkeypatch):
     assert bench.check_fits([fits["N0b"]]) == ["N0b: |mean deviation| 1.000 exceeds 0.5"]
 
 
+def test_a_law_for_the_uniform_family_fits_its_records(monkeypatch):
+    """A family is fitted when a LAWS entry names it, not only the conditioned one."""
+    laws = dict(bench.LAWS)
+    laws["T1"] = ("uniform", ScaleFactorKind.TRACE, lambda lk, ln: lk + ln, (math.inf, 1.0))
+    monkeypatch.setattr(bench, "LAWS", laws)
+    record = _rec(family="uniform", n=4, m=8, kappa=16.0, scale_kind=ScaleFactorKind.TRACE,
+                  iterations=7)
+    assert bench.fit_laws([record]) == [bench.LawFit("T1", 1.0, 1.0, 1)]
+
+
 def test_mt_suite_single_cell():
     records = bench.run_mt_suite(grid=[(16, 64.0)], trials_per_cell=10, seed=42)
     assert len(records) == 30

@@ -19,6 +19,15 @@ def test_readme_module_list_matches_package():
     assert bullets == {m.name for m in pkgutil.iter_modules(lsqmatch.__path__)}
 
 
+def test_test_files_are_named_after_modules():
+    # One test file per module, beside the acceptance, docs and benchmark contract files.
+    # test_kernels.py, which tests inverter's loop, is the one file not yet moved into
+    # test_inverter.py (ROADMAP item 20); drop it here when it moves.
+    names = {path.stem.removeprefix("test_") for path in Path(__file__).parent.glob("test_*.py")}
+    modules = {m.name for m in pkgutil.iter_modules(lsqmatch.__path__)}
+    assert names - modules == {"acceptance", "docs", "kernels", "perfbench_contract"}
+
+
 def _leaf_parsers(parser, path=()):
     """{subcommand path: its parser} for every leaf parser below ``parser``."""
     subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

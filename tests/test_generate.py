@@ -132,13 +132,13 @@ def test_unit_condition_number_gives_identity():
 
 
 def test_conditioned_spectrum_is_geometric_ladder():
-    n, kappa = 12, 300.0
-    _, z = more_toraldo(n, kappa, 73)
-    expected = kappa ** (np.arange(n) / (n - 1.0))
-    # independent eigensolver route
-    w = np.linalg.eigvalsh(z)
-    assert (np.abs(w - expected) / expected).max() < 1e-8
-    assert abs(np.trace(z) - expected.sum()) < 1e-8 * expected.sum()
+    for n, kappa, seed in ((12, 300.0, 73), (16, 64.0, 20240101)):
+        _, z = more_toraldo(n, kappa, seed)
+        expected = kappa ** (np.arange(n) / (n - 1.0))
+        # independent eigensolver route
+        w = np.linalg.eigvalsh(z)
+        assert (np.abs(w - expected) / expected).max() < 1e-8
+        assert abs(np.trace(z) - expected.sum()) < 1e-8 * expected.sum()
 
 
 def test_condition_number_measured_by_own_eigensolver():

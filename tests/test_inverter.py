@@ -1,9 +1,20 @@
+"""Tests of ``inverter``: the scale factors, the recurrence's iterates and its stop statuses.
+
+The loop's bit-level reference, the stop law's decision table and its memory
+bound are tested in ``test_kernels.py``.
+"""
+
 import math
 
 import numpy as np
 import pytest
 
-from oracles import iterate_to, neumann_partial_sum, rescaled_test_matrix
+from oracles import (
+    iterate_to,
+    neumann_partial_sum,
+    rescaled_test_matrix,
+    spectral_norm,
+)
 
 from lsqmatch.generate import derive_seed, more_toraldo, uniform_pattern
 from lsqmatch.inverter import (
@@ -18,10 +29,182 @@ from lsqmatch.inverter import (
 )
 from lsqmatch.linalg import extreme_eigenvalues, gram
 
+OPTIMAL = ScaleFactorKind.OPTIMAL
+TRACE = ScaleFactorKind.TRACE
+GERSHGORIN = ScaleFactorKind.GERSHGORIN
 
-def _spectral_norm(resid):
-    """Spectral norm of the symmetric part of a residual, from numpy's eigenvalues."""
-    return float(np.abs(np.linalg.eigvalsh((resid + resid.T) * 0.5)).max())
+
+def test_kind_tokens():
+    assert ScaleFactorKind.OPTIMAL.value == "alpha0"
+    assert ScaleFactorKind.TRACE.value == "alpha1"
+    assert ScaleFactorKind.GERSHGORIN.value == "alpha2"
+    for kind in ScaleFactorKind:
+        assert ScaleFactorKind(kind.value) is kind
+    with pytest.raises(ValueError, match="'alpha9' is not a valid ScaleFactorKind"):
+        ScaleFactorKind("alpha9")
+
+
+def test_optimal_simple_pair():
+    alpha = scale_factor(np.diag([1.0, 2.0]), OPTIMAL, (1.0, 2.0))
+    assert abs(alpha - 2.0 / 3.0) < 1e-15
+    assert abs((1.0 - alpha) - 1.0 / 3.0) < 1e-15
+
+
+def test_optimal_equal_eigenvalues():
+    alpha = scale_factor(4.0 * np.eye(2), OPTIMAL, (4.0, 4.0))
+    assert alpha == 0.25
+    assert alpha * 4.0 == 1.0
+
+
+def test_optimal_wide_spread():
+    """The rescaled ends sit symmetrically about 1, each 62/64 away."""
+    alpha = scale_factor(np.diag([1.0, 63.0]), OPTIMAL, (1.0, 63.0))
+    assert abs((1.0 - alpha) - 62.0 / 64.0) < 1e-15
+    assert abs((alpha * 63.0 - 1.0) - 62.0 / 64.0) < 1e-15
+
+
+def test_optimal_rejects_nonpositive():
+    """A given pair must be a positive spectrum in order, 0 < low <= high."""
+    for extremes in ((0.0, 2.0), (-1.0, 2.0), (math.nan, 2.0), (2.0, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="not positive definite"):
+            scale_factor(np.eye(2), OPTIMAL, extremes)
+
+
+def test_optimal_from_decomposition():
+    """With no known extremes, the optimal factor computes them from the matrix."""
+    alpha = scale_factor(np.array([[5.0, 2.0], [2.0, 5.0]]), OPTIMAL)
+    assert abs(alpha - 0.2) < 1e-14
+
+
+def test_trace_examples():
+    assert abs(scale_factor(np.diag([1.0, 2.0]), TRACE) - 2.0 / 3.0) < 1e-15
+    assert scale_factor(np.eye(4), TRACE) == 0.5
+    # n=2: trace equals eigenvalue sum
+    assert abs(scale_factor(np.array([[5.0, 2.0], [2.0, 5.0]]), TRACE) - 0.2) < 1e-15
+    for z in (np.zeros((3, 3)), np.diag([1.0, -2.0]), np.diag([1.0, math.nan])):
+        with pytest.raises(ValueError, match="not positive definite"):
+            scale_factor(z, TRACE)
+
+
+def test_gershgorin_examples():
+    assert scale_factor(np.eye(3), GERSHGORIN) == 1.0
+    assert abs(scale_factor(np.array([[5.0, 2.0], [2.0, 5.0]]), GERSHGORIN) - 1.0 / 6.0) < 1e-15
+    assert abs(scale_factor(np.diag([1.0, 4.0]), GERSHGORIN) - 0.4) < 1e-15
+    # On a diagonal matrix min z_ii + max z_ii is the optimal denominator.
+    assert scale_factor(np.diag([1.0, 4.0]), GERSHGORIN) == 2.0 / (4.0 + 1.0)
+    # A negative diagonal cancels its own row sum: the denominator is -1 + 1 = 0.
+    for z in (-np.eye(2), np.diag([1.0, math.nan])):
+        with pytest.raises(ValueError, match="not positive definite"):
+            scale_factor(z, GERSHGORIN)
+
+
+def test_scale_factor_dispatch():
+    """Every kind is 2/d for its closed-form denominator d, bit for bit."""
+    uniform = [gram(uniform_pattern(24, 6, seed)) for seed in (21, 22)]
+    _, mt = more_toraldo(8, 64.0, 5)
+    for z in (*uniform, mt):
+        diag_min = min(np.diag(z))
+        row_sum_max = max(np.abs(z).sum(axis=1))
+        w = np.linalg.eigvalsh(z)
+        for extremes in (None, (float(w[0]), float(w[-1]))):
+            # A given spectrum is read only by the optimal kind.
+            assert scale_factor(z, TRACE, extremes) == 2.0 / float(np.trace(z))
+            assert scale_factor(z, GERSHGORIN, extremes) == 2.0 / (diag_min + row_sum_max)
+        got = scale_factor(z, OPTIMAL, (float(w[0]), float(w[-1])))
+        assert got == 2.0 / (w[-1] + w[0])
+        # With none given it comes from extreme_eigenvalues, checked here against eigvalsh.
+        assert abs(scale_factor(z, OPTIMAL) - got) <= 1e-12 * got
+    assert scale_factor(mt, OPTIMAL, (1.0, 64.0)) == 2.0 / 65.0
+    with pytest.raises(ValueError, match="not positive definite"):
+        scale_factor(np.zeros((3, 3)), OPTIMAL)
+
+
+def test_scale_denominator_overflow_is_rejected():
+    """An alpha = 2/d beyond the float64 range is an error, not 0 or inf, and no warning."""
+    big = np.diag([1e308, 1e308])
+    for kind in (OPTIMAL, TRACE, GERSHGORIN):
+        with pytest.raises(ValueError, match="overflows the float64 range"):
+            scale_factor(big, kind)
+    # The top eigenvalue 1.9e308 is beyond the range: it reads inf, unwarned.
+    near = np.array([[1e308, 9e307], [9e307, 1e308]])
+    low, high = extreme_eigenvalues(near)
+    assert abs(low - 1e307) <= 1e-14 * 1e307 and high == math.inf
+    low, high = extreme_eigenvalues(-near)
+    assert low == -math.inf and abs(high + 1e307) <= 1e-14 * 1e307
+    with pytest.raises(ValueError, match="overflows the float64 range"):
+        scale_factor(near, OPTIMAL)
+    with pytest.raises(ValueError, match="overflows the float64 range"):
+        scale_factor(np.eye(2), OPTIMAL, (1.0, math.inf))
+    # A subnormal denominator makes alpha = 2/d overflow to inf, for every kind.
+    for tiny in (1e-320, np.float64(1e-320)):
+        with pytest.raises(ValueError, match="overflows the float64 range"):
+            scale_factor(np.eye(2), OPTIMAL, (tiny, tiny))
+    for kind in (OPTIMAL, TRACE, GERSHGORIN):
+        with pytest.raises(ValueError, match="overflows the float64 range"):
+            scale_factor(1e-320 * np.eye(2), kind)
+
+
+def _spd_samples():
+    samples = []
+    for i, n in enumerate((2, 3, 8, 16)):
+        _, z = more_toraldo(n, 5.0 + 11.0 * i, 1000 + i)
+        samples.append(z)
+        samples.append(gram(uniform_pattern(4 * n, n, 2000 + i)))
+    return samples
+
+
+def test_ordering_against_optimal():
+    """Both practical factors stay at or below the optimal one."""
+    for z in _spd_samples():
+        w = np.linalg.eigvalsh(z)
+        a0 = scale_factor(z, OPTIMAL, (w[0], w[-1]))
+        assert scale_factor(z, TRACE) <= a0 * (1 + 1e-12)
+        assert scale_factor(z, GERSHGORIN) <= a0 * (1 + 1e-12)
+
+
+def test_trace_equals_optimal_for_two_dims():
+    for seed in (31, 32, 33):
+        z = gram(uniform_pattern(10, 2, seed))
+        w = np.linalg.eigvalsh(z)
+        a0 = scale_factor(z, OPTIMAL, (w[0], w[-1]))
+        assert abs(scale_factor(z, TRACE) - a0) < 1e-12 * a0
+
+
+def test_rescaled_spectrum_in_region():
+    """Every scale kind maps a positive definite matrix into spectrum (0, 2)."""
+    for z in _spd_samples():
+        w = np.linalg.eigvalsh(z)
+        alphas = [
+            scale_factor(z, OPTIMAL, (w[0], w[-1])),
+            scale_factor(z, TRACE),
+            scale_factor(z, GERSHGORIN),
+        ]
+        for alpha in alphas:
+            a = z * alpha
+            wa = np.linalg.eigvalsh(a)
+            assert wa[0] > 0.0
+            assert wa[-1] < 2.0
+
+
+def test_scale_invariance_of_diagnostics():
+    """Scaling Z by c scales alpha0 by 1/c and leaves the rescaled spectrum fixed."""
+    _, z = more_toraldo(6, 40.0, 555)
+    w = np.linalg.eigvalsh(z)
+    base = scale_factor(z, OPTIMAL, (w[0], w[-1]))
+    for c in (0.25, 3.0, 1e4):
+        wc = np.linalg.eigvalsh(z * c)
+        alpha = scale_factor(z * c, OPTIMAL, (wc[0], wc[-1]))
+        assert abs(alpha - base / c) < 1e-10 * base / c
+        assert abs(alpha * wc[0] - base * w[0]) < 1e-10
+        assert abs(alpha * wc[-1] - base * w[-1]) < 1e-10
+
+
+@pytest.mark.parametrize("kind", ["alpha1", None, 3])
+def test_scale_factor_rejects_a_kind_that_is_not_a_member(kind):
+    """A token, None or a number is no kind, and falls into no kind's branch."""
+    z = gram(uniform_pattern(12, 3, 5))
+    with pytest.raises(TypeError, match=f"kind must be a ScaleFactorKind, got {kind!r}"):
+        scale_factor(z, kind)
 
 
 def test_config_validation():
@@ -40,16 +223,17 @@ def test_identity_is_a_fixed_point_at_start():
 
 
 def test_scaled_identity_iterates():
-    a = 0.5 * np.eye(2)
-    # hand iteration: V1 = 1.5 I, V2 = 1.875 I
-    assert np.abs(iterate_to(a, 1) - 1.5 * np.eye(2)).max() < 1e-15
-    assert np.abs(iterate_to(a, 2) - 1.875 * np.eye(2)).max() < 1e-15
-    rep = invert(a)
-    assert rep.converged
-    assert rep.iterations == 5
-    expect = [0.5, 0.25, 0.0625, 0.00390625, 1.52587890625e-05, 2.3283064365386963e-10]
-    assert rep.residual_history.tolist() == expect
-    assert np.abs(rep.inverse - 2.0 * np.eye(2)).max() < 1e-9
+    for n in (2, 3):
+        a = 0.5 * np.eye(n)
+        # hand iteration: V1 = 1.5 I, V2 = 1.875 I
+        assert np.abs(iterate_to(a, 1) - 1.5 * np.eye(n)).max() < 1e-15
+        assert np.abs(iterate_to(a, 2) - 1.875 * np.eye(n)).max() < 1e-15
+        rep = invert(a)
+        assert rep.converged
+        assert rep.iterations == 5
+        expect = [0.5, 0.25, 0.0625, 0.00390625, 1.52587890625e-05, 2.3283064365386963e-10]
+        assert rep.residual_history.tolist() == expect
+        assert np.abs(rep.inverse - 2.0 * np.eye(n)).max() < 1e-9
 
 
 def test_conditioned_two_by_two_stops_at_four():
@@ -79,29 +263,6 @@ def test_converged_fixed_point():
     assert np.abs(again - v).max() < 1e-10
 
 
-def test_matches_power_sum_oracle():
-    for index in range(8):
-        a, _ = rescaled_test_matrix(index)
-        for t in (1, 2, 3):
-            dev = np.abs(iterate_to(a, t) - neumann_partial_sum(a, t)).max()
-            assert dev < 1e-10
-
-
-def test_residual_follows_contraction_law():
-    for index in range(6):
-        a, kappa = rescaled_test_matrix(index)
-        contraction = (kappa - 1.0) / (kappa + 1.0)
-        n = a.shape[0]
-        stop = invert(a).iterations
-        for t in range(1, stop + 1):
-            resid = np.eye(n) - iterate_to(a, t) @ a
-            if np.abs(resid).max() < 1e-6:
-                break
-            ref = contraction ** (2.0**t)
-            measured = _spectral_norm(resid)
-            assert abs(measured - ref) < 1e-8 * ref
-
-
 def test_quadratic_convergence():
     a, _ = rescaled_test_matrix(2)
     n = a.shape[0]
@@ -114,7 +275,7 @@ def test_quadratic_convergence():
         resid = np.eye(n) - iterate_to(a, t) @ a
         if np.abs(resid).max() < 1e-6:
             break  # at the stop point rounding noise dominates the law
-        sn = _spectral_norm(resid)
+        sn = spectral_norm(resid)
         if prev is not None:
             assert abs(sn - prev * prev) < 1e-8 * prev * prev
         prev = sn
@@ -160,14 +321,14 @@ def test_stall_aborts_early():
 
 
 def test_cap_hit_reports_nonconvergence():
-    a, _ = rescaled_test_matrix(1)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("lsqmatch.inverter.MAX_ITERATIONS", 4)
-        rep = invert(a, epsilon=1e-300)
-    assert not rep.converged
-    assert rep.status is InversionStatus.HIT_CAP
-    assert rep.iterations == 4
-    assert rep.residual_history.shape == (5,)
+    for a, cap in ((0.5 * np.eye(2), 3), (rescaled_test_matrix(1)[0], 4)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("lsqmatch.inverter.MAX_ITERATIONS", cap)
+            rep = invert(a, epsilon=1e-300)
+        assert not rep.converged
+        assert rep.status is InversionStatus.HIT_CAP
+        assert rep.iterations == cap
+        assert rep.residual_history.shape == (cap + 1,)
 
 
 def test_cap_sizes_no_allocation():
@@ -177,13 +338,6 @@ def test_cap_sizes_no_allocation():
         rep = invert(0.5 * np.eye(2))
     assert rep.status is InversionStatus.CONVERGED
     assert rep.iterations == 5
-
-
-def test_nonfinite_raises_named_iteration():
-    # V_1 A overflows: the run stops DIVERGED at update 1, with no warning.
-    rep = invert(1e200 * np.eye(2))
-    assert (rep.status, rep.iterations) == (InversionStatus.DIVERGED, 1)
-    assert rep.final_residual == math.inf
 
 
 def test_rejects_asymmetric_input():

@@ -24,43 +24,12 @@ from lsqmatch.inverter import (
 )
 
 
-def test_numpy_newton_schulz_basic():
-    rep = invert(0.5 * np.eye(3))
-    assert rep.status is InversionStatus.CONVERGED
-    assert rep.iterations == 5
-    assert rep.residual_history.shape == (6,)
-    assert np.abs(rep.inverse - 2.0 * np.eye(3)).max() < 1e-8
-
-
-def test_divergence_status():
-    rep = invert(3.0 * np.eye(4))
-    assert rep.status is InversionStatus.DIVERGED
-    assert rep.iterations == 3
-    assert list(rep.residual_history) == [2.0, 4.0, 16.0, 256.0]
-
-
 def test_nonfinite_status():
+    # V_1 A overflows: the run stops DIVERGED at update 1, with no warning.
     rep = invert(1e200 * np.eye(2))
     assert rep.status is InversionStatus.DIVERGED
     assert rep.iterations == 1
     assert list(rep.residual_history) == [1e200, math.inf]
-
-
-def test_cap_status():
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("lsqmatch.inverter.MAX_ITERATIONS", 3)
-        rep = invert(0.5 * np.eye(2), epsilon=1e-300)
-    assert rep.status is InversionStatus.HIT_CAP
-    assert rep.iterations == 3
-    assert rep.residual_history.shape == (4,)
-
-
-def test_stalled_status():
-    # A rescaled eigenvalue of exactly 2 keeps |1 - 2| = 1 at every step.
-    rep = invert(np.array([[2.0]]))
-    assert rep.status is InversionStatus.STALLED
-    assert rep.iterations == 3
-    assert list(rep.residual_history) == [1.0, 1.0, 1.0, 1.0]
 
 
 def _counter_stop(history, eps, max_iter):
