@@ -211,12 +211,13 @@ def fit_laws(records: list[TrialRecord]) -> list[LawFit]:
     """
     if not records:
         raise ValueError("cannot fit laws to an empty record set")
-    families = {family for family, _, _, _ in LAWS.values()}
+    families = sorted({family for family, _, _, _ in LAWS.values()})
     for index, r in enumerate(records, 1):
         if r.family not in families or not math.isfinite(r.kappa):
             raise ValueError(
-                "law fitting needs conditioned-family records with exact, finite kappa; "
-                f"record {index} has family {r.family!r}, kappa {r.kappa!r}"
+                f"law fitting needs records of family {' or '.join(map(repr, families))} "
+                f"with exact, finite kappa; record {index} has family {r.family!r}, "
+                f"kappa {r.kappa!r}"
             )
     fits = []
     for law, (family, kind, _, _) in LAWS.items():

@@ -7,6 +7,7 @@ an acceptance check failed.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import bench
@@ -29,7 +30,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen = top.add_parser("gen", help="generate seeded test matrices")
     gen_sub = gen.add_subparsers(dest="family", required=True)
 
-    gen_mt = gen_sub.add_parser("mt", help="conditioned SPD matrix with known spectrum")
+    mt_text = (
+        "conditioned SPD Gram matrix Z = X'X with known spectrum, not the pattern X "
+        "(solve --x on it forms Z'Z = Z^2, of condition kappa^2)"
+    )
+    gen_mt = gen_sub.add_parser("mt", help=mt_text, description=mt_text)
     gen_mt.add_argument("--n", type=int, required=True, help="matrix size (at least 2)")
     gen_mt.add_argument("--kappa", type=float, required=True, help="condition number (at least 1)")
     gen_mt.add_argument("--seed", type=int, default=42)
@@ -100,6 +105,14 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _check_writable(path: str) -> None:
+    """Refuse ``path`` before a suite runs if it cannot be opened for writing; create nothing."""
+    parent = os.path.dirname(os.path.abspath(path))
+    target = path if os.path.exists(path) else parent
+    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(target, os.W_OK):
+        raise OSError(f"cannot write {path}: not a writable file path")
+
+
 def _cmd_bench(args) -> int:
     if args.suite == "fit":
         with open_ascii(args.infile) as fh:
@@ -108,6 +121,7 @@ def _cmd_bench(args) -> int:
         bench.FITS.write(fits, args.out, args.format)
         problems = bench.check_fits(fits) + bench.check_records(records)
     else:
+        _check_writable(args.out)
         run = bench.run_mt_suite if args.suite == "mt" else bench.run_table1_suite
         records = run(trials_per_cell=args.trials, seed=args.seed)
         bench.RECORDS.write(records, args.out, args.format)

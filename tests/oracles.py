@@ -1,10 +1,12 @@
 """Oracles that the tests compare the package against, a capped input and the cap seam."""
 
+import math
+
 import numpy as np
 import pytest
 
 from lsqmatch.generate import derive_seed, more_toraldo, uniform_pattern
-from lsqmatch.inverter import invert
+from lsqmatch.inverter import InversionStatus, invert
 from lsqmatch.linalg import MULTISECTION_SHIFTS, _tridiagonalize, binary_exponent, symmetrize
 
 #: Largest exponent accepted by :func:`neumann_partial_sum` (2^t - 1 products).
@@ -50,6 +52,52 @@ def self_scaled_count(rho: float, eps: float) -> int:
         rho = rho * rho / (2.0 - rho * rho)
         count += 1
     return count
+
+
+def _counter_stop(history, eps, max_iter):
+    """The stop rule in the counter form the loop once carried, run over ``history``.
+
+    ``flat`` counts the updates in a row whose residual is at least 1 and no
+    lower than the one before, ``grow`` those of them that also rose strictly
+    above 1.  Returns the stop index and status, or None when the run goes on;
+    a non-finite residual is DIVERGED.
+    """
+    flat = grow = 0
+    prev = math.inf
+    for t, r in enumerate(history):
+        if not math.isfinite(r):
+            return t, InversionStatus.DIVERGED
+        if r < eps:
+            return t, InversionStatus.CONVERGED
+        if t == max_iter:
+            return t, InversionStatus.HIT_CAP
+        if r >= 1.0 and r >= prev:
+            flat += 1
+            grow = grow + 1 if r > 1.0 and r > prev else 0
+            if flat >= 3:
+                return t, InversionStatus.DIVERGED if grow >= 3 else InversionStatus.STALLED
+        else:
+            flat = grow = 0
+        prev = r
+    return None
+
+
+def _reference_newton_schulz(a, eps, max_iter):
+    """The recurrence written plainly, with a fresh array for every operation.
+
+    It stops by :func:`_counter_stop`, the counter form of the stop rule.
+    """
+    n = a.shape[0]
+    eye = np.eye(n)
+    v = np.eye(n)
+    history = []
+    while True:
+        u = 2.0 * eye - v @ a
+        history.append(np.abs(u - eye).max())
+        stop = _counter_stop(history, eps, max_iter)
+        if stop is not None:
+            return v, np.array(history), *stop
+        v = u @ v
 
 
 def near_dependent_pattern(n: int, seed: int) -> np.ndarray:

@@ -190,6 +190,8 @@ def test_fit_laws_errors():
         bench.fit_laws([])
     with pytest.raises(ValueError, match="family"):
         bench.fit_laws([_rec(family="uniform")])
+    with pytest.raises(ValueError, match="needs records of family 'mt' with"):
+        bench.fit_laws([_rec(family="uniform")])
     with pytest.raises(ValueError, match="no converged"):
         bench.fit_laws([_rec(converged=False)])
     with pytest.raises(ValueError, match="finite kappa; record 2 has family 'mt', kappa inf"):

@@ -318,9 +318,15 @@ def test_bench_fit_infinite_kappa_exits_one(tmp_path, capsys):
         assert not fits_path.exists()
 
 
-def test_bench_out_directory_missing_exits_one(tmp_path, capsys):
-    rc = main(
-        ["bench", "mt", "--trials", "1", "--out", str(tmp_path / "no_dir" / "r.csv")]
-    )
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("error:")
+def test_bench_out_directory_missing_exits_one(tmp_path, capsys, monkeypatch):
+    # A run refused for its arguments leaves no file.
+    out = tmp_path / "r.csv"
+    assert main(["bench", "mt", "--trials", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: trials_per_cell must be at least 1")
+    assert not out.exists()
+    # A path that cannot be opened for writing is refused before the first trial.
+    monkeypatch.setattr(bench, "_run_trials", lambda *args: pytest.fail("a trial ran"))
+    for suite in ("mt", "table1"):
+        rc = main(["bench", suite, "--trials", "1", "--out", str(tmp_path / "no_dir" / "r.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")

@@ -21,8 +21,8 @@ def test_readme_module_list_matches_package():
 
 def test_test_files_are_named_after_modules():
     # One test file per module, beside the acceptance, docs and benchmark contract files.
-    # test_kernels.py, which tests inverter's loop, is the one file not yet moved into
-    # test_inverter.py (ROADMAP item 20); drop it here when it moves.
+    # test_kernels.py keeps the loop's 47-case bit-identity table, the part of inverter's
+    # tests not yet moved into test_inverter.py (ROADMAP item 20); drop it here when it moves.
     names = {path.stem.removeprefix("test_") for path in Path(__file__).parent.glob("test_*.py")}
     modules = {m.name for m in pkgutil.iter_modules(lsqmatch.__path__)}
     assert names - modules == {"acceptance", "docs", "kernels", "perfbench_contract"}
