@@ -140,6 +140,9 @@ def _run_trials(grid, build, kinds, trials_per_cell, seed) -> list[TrialRecord]:
                     iterations, converged = 0, False
                 else:
                     iterations, converged = report.iterations, report.converged
+                    # A held report would keep its n x n inverse alive through
+                    # the next kind's inversion.
+                    del report
                 records.append(TrialRecord(*head, kind, iterations, converged, child))
     return records
 

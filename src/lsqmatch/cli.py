@@ -121,6 +121,8 @@ def _cmd_bench(args) -> int:
         bench.FITS.write(fits, args.out, args.format)
         problems = bench.check_fits(fits) + bench.check_records(records)
     else:
+        if args.trials < 1:
+            raise ValueError(f"--trials must be at least 1, got {args.trials}")
         _check_writable(args.out)
         run = bench.run_mt_suite if args.suite == "mt" else bench.run_table1_suite
         records = run(trials_per_cell=args.trials, seed=args.seed)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +112,20 @@ def test_mt_suite_single_cell():
             assert r.iterations == 11
     gersh = [r.iterations for r in records if r.scale_kind is ScaleFactorKind.GERSHGORIN]
     assert abs(np.mean(gersh) - (6.0 + 4.0 / 3.0 + 2.433)) <= 0.7
+
+
+def test_mt_trial_drops_each_report_before_the_next_kind():
+    # Z, alpha Z and invert's V and two work buffers: the last kind's report,
+    # with its n x n inverse, is not held while the next kind runs.
+    n = 128
+    bench.run_mt_suite(grid=[(n, 2.0**10)], trials_per_cell=1)
+    tracemalloc.start()
+    try:
+        bench.run_mt_suite(grid=[(n, 2.0**10)], trials_per_cell=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * n * n * 8
 
 
 def test_mt_suite_validation():

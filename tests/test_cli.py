@@ -319,11 +319,12 @@ def test_bench_fit_infinite_kappa_exits_one(tmp_path, capsys):
 
 
 def test_bench_out_directory_missing_exits_one(tmp_path, capsys, monkeypatch):
-    # A run refused for its arguments leaves no file.
+    # A run refused for its arguments names the flag and leaves no file.
     out = tmp_path / "r.csv"
-    assert main(["bench", "mt", "--trials", "0", "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: trials_per_cell must be at least 1")
-    assert not out.exists()
+    for suite in ("mt", "table1"):
+        assert main(["bench", suite, "--trials", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --trials must be at least 1, got 0\n"
+        assert not out.exists()
     # A path that cannot be opened for writing is refused before the first trial.
     monkeypatch.setattr(bench, "_run_trials", lambda *args: pytest.fail("a trial ran"))
     for suite in ("mt", "table1"):

@@ -1,8 +1,9 @@
 """Tests of ``inverter``: the scale factors, the recurrence's iterates and its stop statuses.
 
 The stop law, a function of the residual history, is also driven directly with
-synthetic histories.  The in-place loop's bit-level comparison with the
-recurrence written plainly is in ``test_kernels.py``.
+synthetic histories.  The in-place loop is checked bit for bit against the
+recurrence written plainly over :func:`oracles._oracle_cases`: its ``mt-*``
+cases here, the rest in ``test_kernels.py``.
 """
 
 import math
@@ -12,7 +13,9 @@ import numpy as np
 import pytest
 
 from oracles import (
+    _check_bit_identical_to_reference,
     _counter_stop,
+    _oracle_cases,
     iterate_to,
     neumann_partial_sum,
     rescaled_test_matrix,
@@ -485,6 +488,13 @@ def test_invert_reads_a_read_only_input():
         assert rep.residual_history.tobytes() == ref.residual_history.tobytes()
         assert rep.inverse.tobytes() == ref.inverse.tobytes()
         assert a.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize(
+    "a, eps, max_iter", [case for case in _oracle_cases() if case.id.startswith("mt-")]
+)
+def test_newton_schulz_bit_identical_to_reference(a, eps, max_iter):
+    _check_bit_identical_to_reference(a, eps, max_iter)
 
 
 def test_newton_schulz_peak_memory():
