@@ -107,9 +107,14 @@ def _cmd_solve(args) -> int:
 
 def _check_writable(path: str) -> None:
     """Refuse ``path`` before a suite runs if it cannot be opened for writing; create nothing."""
-    parent = os.path.dirname(os.path.abspath(path))
+    parent = os.path.dirname(path) or "."
     target = path if os.path.exists(path) else parent
-    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(target, os.W_OK):
+    if (
+        not os.path.basename(path)
+        or os.path.isdir(path)
+        or not os.path.isdir(parent)
+        or not os.access(target, os.W_OK)
+    ):
         raise OSError(f"cannot write {path}: not a writable file path")
 
 

@@ -1,9 +1,9 @@
 """Dense matrix primitives: validation, the Gram matrix, and the extreme eigenvalues.
 
 ``extreme_eigenvalues`` gives the smallest and largest eigenvalue by
-Householder tridiagonalization and Sturm-sequence multisection, whose steps
-binary-search their shifts with a scalar Sturm count; it is what the optimal
-scale factor and the benchmark's kappa use.
+Householder tridiagonalization and plain bisection on the Sturm count, one
+end at a time, with a scalar pivot recurrence; it is what the optimal scale
+factor and the benchmark's kappa use.
 
 Matrices are plain 2-D float64 numpy arrays.  ``as_matrix`` is the validating
 constructor, and ``symmetrize`` adds the check that the matrix equals its
@@ -18,10 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-#: Shifts placed inside each bracket per Sturm multisection step.
-MULTISECTION_SHIFTS = 63
-
 
 def as_matrix(a) -> np.ndarray:
     """Validate and convert to a 2-D float64 array with finite real entries."""
@@ -137,17 +133,17 @@ def extreme_eigenvalues(z) -> tuple[float, float]:
     """Smallest and largest eigenvalue of a symmetric matrix, ``(low, high)``.
 
     Reduces ``z`` to tridiagonal form by Householder reflections, then
-    narrows a bracket around each end of the spectrum by Sturm-sequence
-    multisection, starting from the tridiagonal's Gershgorin interval, until
-    both are 2 eps wide relative to their ends or unit-roundoff wide relative
-    to the norm, the accuracy the reduction itself has (the tolerances of
-    LAPACK's dstebz); one that gets there first keeps narrowing until then.
-    A step moves a bracket to the two of its ``MULTISECTION_SHIFTS`` evenly
-    spaced shifts around the first with enough eigenvalues below it.  The
-    count never falls as the shift grows, so a binary search finds that
-    shift in 6 counts, one shift at a time.  Indefinite matrices are fine,
-    and so are entries up to the float64 maximum; an end beyond that range
-    reads -inf or inf.
+    bisects a bracket around each end of the spectrum on its own (Barth,
+    Martin & Wilkinson, 1967), starting from the tridiagonal's padded
+    Gershgorin interval: each step counts the eigenvalues below the
+    bracket's midpoint and keeps the half that holds the end.  A bracket
+    stops when no float lies strictly between its ends, or when they are at
+    most unit roundoff of the norm apart, the accuracy the reduction itself
+    has (LAPACK dstebz's absolute tolerance).  Each end returned is its
+    bracket's upper end, at or above the eigenvalue, so an end that a shift
+    meets exactly, such as the identity's 1.0, comes back exact.
+    Indefinite matrices are fine, and so are entries up to the float64
+    maximum; an end beyond that range reads -inf or inf.
     The reduction runs on ``z`` scaled to max|z| in [0.5, 1), where the
     Gershgorin bound is near 0.5 or above (it bounds the 2-norm), so
     dstebz's pivot-floor terms would change no bit of the bracket.
@@ -159,7 +155,7 @@ def extreme_eigenvalues(z) -> tuple[float, float]:
     a = np.ldexp(s, -exponent)
     n = a.shape[0]
     d, e = _tridiagonalize(a)
-    # Python floats from here on: the multisection is scalar arithmetic.
+    # Python floats from here on: the bisection is scalar arithmetic.
     eps = float(np.finfo(np.float64).eps)
     abs_e = np.abs(e)
     radius = np.r_[0.0, abs_e] + np.r_[abs_e, 0.0]
@@ -167,33 +163,21 @@ def extreme_eigenvalues(z) -> tuple[float, float]:
     tnorm = max(abs(lo), abs(hi))
     pad = 2.0 * n * eps * tnorm
     floor = 0.5 * eps * tnorm
-    # The bracket holding the smallest eigenvalue, then the largest.  The low
-    # end of a bracket has fewer than ``target`` eigenvalues below it, the
-    # high end at least ``target``.
-    brackets, targets = [[lo - pad, hi + pad], [lo - pad, hi + pad]], (1, n)
-    steps = (np.arange(1, MULTISECTION_SHIFTS + 1) / (MULTISECTION_SHIFTS + 1)).tolist()
     rows = list(zip(d.tolist(), [0.0, *(e * e).tolist()]))
-    while any(
-        high - low > max(2.0 * eps * max(abs(low), abs(high)), floor)
-        for low, high in brackets
-    ):
-        for bracket, target in zip(brackets, targets):
-            low, high = bracket
-            width = high - low
-            # Binary search for k, the first shift low + width * steps[k]
-            # with at least ``target`` eigenvalues below it.
-            k, last = 0, MULTISECTION_SHIFTS
-            while k < last:
-                mid = (k + last) // 2
-                if _sturm_count(rows, low + width * steps[mid]) < target:
-                    k = mid + 1
-                else:
-                    last = mid
-            if k:
-                bracket[0] = low + width * steps[k - 1]
-            if k < MULTISECTION_SHIFTS:
-                bracket[1] = low + width * steps[k]
+    ends = []
+    # The smallest eigenvalue's bracket, then the largest's: the low end has
+    # fewer than ``target`` eigenvalues below it, the high end at least that.
+    for target in (1, n):
+        low, high = lo - pad, hi + pad
+        while high - low > floor:
+            mid = 0.5 * (low + high)
+            if not low < mid < high:
+                break
+            if _sturm_count(rows, mid) < target:
+                low = mid
+            else:
+                high = mid
+        ends.append(high)
     with np.errstate(over="ignore"):
-        mid = np.ldexp(np.mean(brackets, axis=1), exponent)
-    return float(mid[0]), float(mid[1])
-
+        low, high = np.ldexp(ends, exponent)
+    return float(low), float(high)

@@ -1,7 +1,7 @@
 """Oracles that the tests compare the package against, a capped input and the cap seam.
 
-The loop's bit-identity table and its one check are here too, shared by the
-test files that run its cases.
+The loop's bit-identity table is here too, beside the plain recurrence it
+is checked against.
 """
 
 import math
@@ -11,7 +11,7 @@ import pytest
 
 from lsqmatch.generate import derive_seed, more_toraldo, uniform_pattern
 from lsqmatch.inverter import InversionStatus, ScaleFactorKind, invert, scale_factor
-from lsqmatch.linalg import MULTISECTION_SHIFTS, _tridiagonalize, binary_exponent, symmetrize
+from lsqmatch.linalg import symmetrize
 
 #: Largest exponent accepted by :func:`neumann_partial_sum` (2^t - 1 products).
 NEUMANN_MAX_T = 20
@@ -147,26 +147,6 @@ def _oracle_cases():
     yield pytest.param(signed, 1e-6, 200, id="negative-zeros-n32")
 
 
-def _check_bit_identical_to_reference(a, eps, max_iter):
-    """Check ``invert(a, eps)``, capped at ``max_iter``, against :func:`_reference_newton_schulz`.
-
-    The update count, status, residual history and inverse must match bit for bit.
-    """
-    if not np.isfinite(a).all():
-        # Validation refuses it before the loop starts.
-        with pytest.raises(ValueError, match="finite"):
-            invert(a, eps)
-        return
-    with np.errstate(over="ignore", invalid="ignore"):
-        v_ref, hist_ref, iters_ref, status_ref = _reference_newton_schulz(a, eps, max_iter)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("lsqmatch.inverter.MAX_ITERATIONS", max_iter)
-        rep = invert(a, eps)
-    assert (rep.iterations, rep.status) == (iters_ref, status_ref)
-    assert rep.residual_history.tobytes() == hist_ref.tobytes()
-    assert rep.inverse.tobytes() == v_ref.tobytes()
-
-
 def near_dependent_pattern(n: int, seed: int) -> np.ndarray:
     """A 3n x n uniform pattern whose column 0 is column 1 plus 1e-6 times a fresh column.
 
@@ -254,50 +234,3 @@ def vectorized_sturm_counts(d, e2, shifts) -> np.ndarray:
                 np.divide(e2_above, above, out=quotient)
                 np.subtract(row, quotient, out=row)
     return (~np.signbit(p)).sum(axis=0)
-
-
-def vectorized_multisection(z):
-    """``extreme_eigenvalues`` with every shift of every step counted: the reference for its bits.
-
-    Returns ``(low, high)``, the tridiagonal (d, e**2) the steps count on,
-    and each step's 2 x ``MULTISECTION_SHIFTS`` shifts, the row of the
-    smallest eigenvalue's bracket first.  A step moves each bracket to the
-    shifts on either side of the first one with at least ``target``
-    eigenvalues below it, counting how many fall short; both brackets are
-    refined until both are within tolerance.
-    """
-    s = symmetrize(z)
-    exponent = binary_exponent(s)
-    a = np.ldexp(s, -exponent)
-    n = a.shape[0]
-    d, e = _tridiagonalize(a)
-    e2 = e * e
-    eps = np.finfo(np.float64).eps
-    abs_e = np.abs(e)
-    radius = np.r_[0.0, abs_e] + np.r_[abs_e, 0.0]
-    lo, hi = float((d - radius).min()), float((d + radius).max())
-    tnorm = max(abs(lo), abs(hi))
-    pad = 2.0 * n * eps * tnorm
-    floor = 0.5 * eps * tnorm
-    brackets = np.array([[lo - pad, hi + pad], [lo - pad, hi + pad]])
-    target = np.array([[1], [n]])
-    steps = np.arange(1, MULTISECTION_SHIFTS + 1) / (MULTISECTION_SHIFTS + 1)
-    searched = []
-    while True:
-        lows, highs = brackets[:, 0], brackets[:, 1]
-        width = highs - lows
-        tol = np.maximum(2.0 * eps * np.maximum(np.abs(lows), np.abs(highs)), floor)
-        if np.all(width <= tol):
-            break
-        shifts = lows[:, None] + width[:, None] * steps
-        searched.append(shifts)
-        below = vectorized_sturm_counts(d, e2, shifts.ravel()).reshape(shifts.shape) < target
-        k = below.sum(axis=1)
-        for row in range(2):
-            if k[row]:
-                brackets[row, 0] = shifts[row, k[row] - 1]
-            if k[row] < MULTISECTION_SHIFTS:
-                brackets[row, 1] = shifts[row, k[row]]
-    with np.errstate(over="ignore"):
-        mid = np.ldexp(brackets.mean(axis=1), exponent)
-    return (float(mid[0]), float(mid[1])), (d, e2), searched

@@ -231,7 +231,7 @@ def test_criterion_09_solver_vs_elimination_oracle():
 #: SHA-256 of the CSV that ``bench <suite> --trials 1 --seed 42`` writes, per
 #: suite, recorded with numpy 2.4.6 and its bundled OpenBLAS on x86-64.
 TRIALS1_SEED42_SHA256 = {
-    "table1": "71583b6de3f091bc99a9415018948f8b2675073fdf2431044b7c7794ca0db739",
+    "table1": "d4092e10b88785dca484d3d5ceda1a923a7f5af2f8f0252b9388c1931df5bc21",
     "mt": "43aaf8eb00d2aac072fbfa16ad5e8418e36d89b59d9b1c9fbfee149dfd7efa65",
 }
 

@@ -325,9 +325,12 @@ def test_bench_out_directory_missing_exits_one(tmp_path, capsys, monkeypatch):
         assert main(["bench", suite, "--trials", "0", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: --trials must be at least 1, got 0\n"
         assert not out.exists()
-    # A path that cannot be opened for writing is refused before the first trial.
+    # A path that cannot be opened for writing is refused before the first trial,
+    # an empty one and ones that name a directory, present or not, included.
     monkeypatch.setattr(bench, "_run_trials", lambda *args: pytest.fail("a trial ran"))
-    for suite in ("mt", "table1"):
-        rc = main(["bench", suite, "--trials", "1", "--out", str(tmp_path / "no_dir" / "r.csv")])
-        assert rc == 1
-        assert capsys.readouterr().err.startswith("error:")
+    monkeypatch.chdir(tmp_path)
+    for path in (str(tmp_path / "no_dir" / "r.csv"), "", "no_dir/", "no_dir/.", "."):
+        for suite in ("mt", "table1"):
+            assert main(["bench", suite, "--trials", "1", "--out", path]) == 1
+            assert capsys.readouterr().err.startswith("error: cannot write")
+    assert list(tmp_path.iterdir()) == []

@@ -21,12 +21,9 @@ def test_readme_module_list_matches_package():
 
 def test_test_files_are_named_after_modules():
     # One test file per module, beside the acceptance, docs and benchmark contract files.
-    # test_kernels.py keeps 17 of the loop's bit-identity cases, the part of inverter's tests
-    # not yet moved into test_inverter.py, which runs the 30 mt-* ones (ROADMAP item 20);
-    # drop it here when it moves.
     names = {path.stem.removeprefix("test_") for path in Path(__file__).parent.glob("test_*.py")}
     modules = {m.name for m in pkgutil.iter_modules(lsqmatch.__path__)}
-    assert names - modules == {"acceptance", "docs", "kernels", "perfbench_contract"}
+    assert names - modules == {"acceptance", "docs", "perfbench_contract"}
 
 
 def _leaf_parsers(parser, path=()):

@@ -2,8 +2,7 @@
 
 The stop law, a function of the residual history, is also driven directly with
 synthetic histories.  The in-place loop is checked bit for bit against the
-recurrence written plainly over :func:`oracles._oracle_cases`: its ``mt-*``
-cases here, the rest in ``test_kernels.py``.
+recurrence written plainly over all of :func:`oracles._oracle_cases`.
 """
 
 import math
@@ -13,9 +12,9 @@ import numpy as np
 import pytest
 
 from oracles import (
-    _check_bit_identical_to_reference,
     _counter_stop,
     _oracle_cases,
+    _reference_newton_schulz,
     iterate_to,
     neumann_partial_sum,
     rescaled_test_matrix,
@@ -490,11 +489,24 @@ def test_invert_reads_a_read_only_input():
         assert a.tobytes() == kept.tobytes()
 
 
-@pytest.mark.parametrize(
-    "a, eps, max_iter", [case for case in _oracle_cases() if case.id.startswith("mt-")]
-)
-def test_newton_schulz_bit_identical_to_reference(a, eps, max_iter):
-    _check_bit_identical_to_reference(a, eps, max_iter)
+@pytest.mark.parametrize("a, eps, max_iter", _oracle_cases())
+def test_newton_schulz_bit_identical_to_reference(a, eps, max_iter, monkeypatch):
+    """``invert(a, eps)``, capped at ``max_iter``, against :func:`oracles._reference_newton_schulz`.
+
+    The update count, status, residual history and inverse must match bit for bit.
+    """
+    if not np.isfinite(a).all():
+        # Validation refuses it before the loop starts.
+        with pytest.raises(ValueError, match="finite"):
+            invert(a, eps)
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_ref, hist_ref, iters_ref, status_ref = _reference_newton_schulz(a, eps, max_iter)
+    monkeypatch.setattr("lsqmatch.inverter.MAX_ITERATIONS", max_iter)
+    rep = invert(a, eps)
+    assert (rep.iterations, rep.status) == (iters_ref, status_ref)
+    assert rep.residual_history.tobytes() == hist_ref.tobytes()
+    assert rep.inverse.tobytes() == v_ref.tobytes()
 
 
 def test_newton_schulz_peak_memory():

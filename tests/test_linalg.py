@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import vectorized_multisection, vectorized_sturm_counts
+from oracles import vectorized_sturm_counts
 
 import lsqmatch.linalg as la
 from lsqmatch.generate import more_toraldo, uniform_pattern
@@ -417,10 +417,6 @@ def test_sturm_count_takes_no_quotient_under_a_zero_e2():
     assert la.extreme_eigenvalues(np.eye(64)) == (1.0, 1.0)
 
 
-def _tridiagonal(d, e):
-    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-
-
 def _tridiagonal_cases():
     """Random tridiagonals, and split ones with zero off-diagonals and repeated diagonals."""
     rng = np.random.default_rng(32)
@@ -432,29 +428,29 @@ def _tridiagonal_cases():
             yield rng.choice([-0.5, 0.0, 0.5], n), np.where(rng.random(n - 1) < 0.5, 0.0, e)
 
 
-def test_sturm_count_never_falls_across_a_searched_step():
-    """Over the shifts of every multisection step, the count never falls.
+def test_sturm_count_never_falls_as_the_shift_grows():
+    """Over a fixed, sorted grid of shifts, the count never falls and equals the vectorized pass's.
 
-    The binary search of ``extreme_eigenvalues`` finds the first shift of a
-    step that reaches its target; it finds the vectorized pass's bracket only
-    because the count is monotone in the shift, which is checked here on every
-    step of the reference, shift by shift.
+    Bisection keeps the half of a bracket that holds an end only because the
+    count is monotone in the shift.  The grid spans every case's Gershgorin
+    interval [-3, 3], and holds -0.0 just before 0.0 and the +-0.5 that the
+    split cases repeat on their diagonals.
     """
-    steps = 0
+    grid = np.linspace(-3.0, 3.0, 97)
+    assert grid[48] == 0.0 and grid[56] == 0.5
+    grid = np.insert(grid, 48, -0.0)
+    cases = 0
     for d, e in _tridiagonal_cases():
-        ends, (dt, e2), searched = vectorized_multisection(_tridiagonal(d, e))
-        rows = _rows(dt, e2)
-        for shifts in searched:
-            reference = vectorized_sturm_counts(dt, e2, shifts.ravel()).reshape(shifts.shape)
-            for row, expected in zip(shifts.tolist(), reference.tolist()):
-                counts = [la._sturm_count(rows, s) for s in row]
-                assert counts == sorted(counts) == expected, (d, e)
-            steps += 1
-        assert la.extreme_eigenvalues(_tridiagonal(d, e)) == ends
-    assert steps == 640
+        e2 = e * e
+        rows = _rows(d, e2)
+        counts = [la._sturm_count(rows, s) for s in grid.tolist()]
+        assert counts == sorted(counts) == vectorized_sturm_counts(d, e2, grid).tolist(), (d, e)
+        assert counts[0] == 0 and counts[-1] == d.size, (d, e)
+        cases += 1
+    assert cases == 84
 
 
-def _bit_identity_cases():
+def _spectrum_cases():
     """Seeded matrices of many kinds and sizes, n = 1 to 256."""
     for n in [*range(1, 13), 16, 17, 32, 33, 64, 100, 128, 256]:
         for seed in range(6 if n <= 17 else 2 if n < 256 else 1):
@@ -473,23 +469,47 @@ def _bit_identity_cases():
             if not seed:
                 yield np.ones((n, n))
                 yield np.zeros((n, n))
-                # Both ends of one sign, with ratio 0.885: the end farther
-                # from 0 has the larger tolerance and meets it a step before
-                # the other, and its bracket keeps narrowing until both do.
+                # Both ends of one sign, with ratio 0.885.
                 ladder = np.diag(np.linspace(0.885, 1.0, n))
                 yield ladder
                 yield -ladder
 
 
-def test_extreme_eigenvalues_bit_identical_to_vectorized_multisection():
-    """``(low, high)`` is byte-equal to the reference that counts every shift of a step."""
-    count = 0
-    for z in _bit_identity_cases():
-        expected, _, _ = vectorized_multisection(z)
+def test_extreme_eigenvalues_bracket_each_end_by_sturm_counts(monkeypatch):
+    """Each end lies at or above its eigenvalue, by at most one float or ``floor``.
+
+    The vectorized Sturm counts of the tridiagonal that ``extreme_eigenvalues``
+    counts on put at least ``target`` eigenvalues (1 for the smallest end, n
+    for the largest) at or below the end, and fewer than ``target`` below
+    the bracket's lower bound: the float just below the end or the end
+    minus ``floor`` (unit roundoff of the tridiagonal's Gershgorin norm),
+    whichever is lower.
+    """
+    reduced = []
+    tridiagonalize = la._tridiagonalize
+
+    def recording_tridiagonalize(a):
+        reduced.append(tridiagonalize(a))
+        return reduced[-1]
+
+    monkeypatch.setattr(la, "_tridiagonalize", recording_tridiagonalize)
+    cases = 0
+    for z in _spectrum_cases():
         got = la.extreme_eigenvalues(z)
-        assert np.array(got).tobytes() == np.array(expected).tobytes(), (z.shape, got, expected)
-        count += 1
-    assert count == 644
+        ((d, e),) = reduced
+        reduced.clear()
+        # The ends in the scale the tridiagonal has, exactly.
+        exponent = la.binary_exponent(z)
+        ends = np.ldexp(got, -exponent)
+        assert np.array_equal(np.ldexp(ends, exponent), got), (z.shape, got)
+        abs_e = np.abs(e)
+        floor = UNIT_ROUNDOFF * float((np.abs(d) + np.r_[0.0, abs_e] + np.r_[abs_e, 0.0]).max())
+        lower = np.minimum(np.nextafter(ends, -np.inf), ends - floor)
+        below_lower, below_end = vectorized_sturm_counts(d, e * e, np.r_[lower, ends]).reshape(2, 2)
+        targets = np.array([1, d.size])
+        assert np.all(below_lower < targets) and np.all(targets <= below_end), (z.shape, got)
+        cases += 1
+    assert cases == 644
 
 
 def test_extreme_eigenvalues_rejects_asymmetric():
