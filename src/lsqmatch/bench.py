@@ -1,10 +1,10 @@
 """Benchmark suites for the inverter's iteration-count laws, plus CSV plumbing.
 
-Two matrix families are exercised: conditioned SPD matrices with a known
-spectrum (family token ``mt``) and Gram matrices of uniform random patterns
-(family token ``uniform``).  Both suites only build their cells; one trial
-loop scales and inverts each cell's matrix for each scale kind and records
-the result.  ``mt`` always runs all three kinds, ``table1`` the two
+Two matrix families are exercised: Gram matrices of conditioned square
+patterns, with a known spectrum (family token ``mt``), and of uniform random
+patterns (family token ``uniform``).  Both suites only build their cells;
+one trial loop scales and inverts each cell's matrix for each scale kind and
+records the result.  ``mt`` always runs all three kinds, ``table1`` the two
 that need no spectrum.  Iteration counts per scale factor follow simple
 empirical laws in log2(kappa) and log2(n), one ``LAWS`` entry each, keyed by
 the law's token; ``fit_laws`` measures deviations against those reference lines.
@@ -161,7 +161,7 @@ def run_mt_suite(
     """
     def build(cell, child):
         n, kappa = cell
-        return "mt", n, n, kappa, (1.0, kappa), more_toraldo(n, kappa, child)[1]
+        return "mt", n, n, kappa, (1.0, kappa), gram(more_toraldo(n, kappa, child))
 
     cells = [(int(n), float(kappa)) for n, kappa in grid]
     return _run_trials(cells, build, tuple(ScaleFactorKind), trials_per_cell, seed)

@@ -30,11 +30,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen = top.add_parser("gen", help="generate seeded test matrices")
     gen_sub = gen.add_subparsers(dest="family", required=True)
 
-    mt_text = (
-        "conditioned SPD Gram matrix Z = X'X with known spectrum, not the pattern X "
-        "(solve --x on it forms Z'Z = Z^2, of condition kappa^2)"
+    gen_mt = gen_sub.add_parser(
+        "mt", help="conditioned square pattern X; X'X has condition number kappa"
     )
-    gen_mt = gen_sub.add_parser("mt", help=mt_text, description=mt_text)
     gen_mt.add_argument("--n", type=int, required=True, help="matrix size (at least 2)")
     gen_mt.add_argument("--kappa", type=float, required=True, help="condition number (at least 1)")
     gen_mt.add_argument("--seed", type=int, default=42)
@@ -86,10 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen(args) -> int:
     if args.family == "mt":
-        _, z = more_toraldo(args.n, args.kappa, args.seed)
-        save_matrix(args.out, z)
+        x = more_toraldo(args.n, args.kappa, args.seed)
     else:
-        save_matrix(args.out, uniform_pattern(args.m, args.n, args.seed))
+        x = uniform_pattern(args.m, args.n, args.seed)
+    save_matrix(args.out, x)
     return 0
 
 

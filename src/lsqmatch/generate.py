@@ -14,8 +14,6 @@ import math
 
 import numpy as np
 
-from .linalg import gram
-
 MASK = (1 << 64) - 1
 #: Additive stream constant (2^64 / golden ratio, forced odd).
 GOLDEN = 0x9E3779B97F4A7C15
@@ -86,14 +84,14 @@ def uniform_pattern(m: int, n: int, seed: int) -> np.ndarray:
     return values.reshape(m, n)
 
 
-def more_toraldo(n: int, kappa: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Conditioned test pair (X, Z): X = D^(1/2) H, Z = X'X.
+def more_toraldo(n: int, kappa: float, seed: int) -> np.ndarray:
+    """Conditioned square pattern X = D^(1/2) H.
 
     H = I - 2 h h' / h'h reflects across the hyperplane orthogonal to the
     random vector h = uniform_pattern(n, 1, seed).  D holds the geometric
-    eigenvalue ladder kappa^(i/(n-1)) for i = 0 .. n-1, so Z has spectrum
-    exactly that ladder (smallest 1, largest kappa) and condition number
-    kappa by construction.  D^(1/2) takes principal (nonnegative) roots.
+    eigenvalue ladder kappa^(i/(n-1)) for i = 0 .. n-1, so X'X = H D H has
+    spectrum exactly that ladder (smallest 1, largest kappa) and condition
+    number kappa by construction.  D^(1/2) takes principal (nonnegative) roots.
     """
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
@@ -102,5 +100,4 @@ def more_toraldo(n: int, kappa: float, seed: int) -> tuple[np.ndarray, np.ndarra
     h = uniform_pattern(n, 1, seed).ravel()
     refl = np.eye(n) - (2.0 / float(h @ h)) * np.outer(h, h)
     d_sqrt = np.power(kappa, 0.5 * np.arange(n) / (n - 1))
-    x = d_sqrt[:, None] * refl
-    return x, gram(x)
+    return d_sqrt[:, None] * refl

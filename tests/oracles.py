@@ -11,7 +11,7 @@ import pytest
 
 from lsqmatch.generate import derive_seed, more_toraldo, uniform_pattern
 from lsqmatch.inverter import InversionStatus, ScaleFactorKind, invert, scale_factor
-from lsqmatch.linalg import symmetrize
+from lsqmatch.linalg import gram, symmetrize
 
 #: Largest exponent accepted by :func:`neumann_partial_sum` (2^t - 1 products).
 NEUMANN_MAX_T = 20
@@ -115,11 +115,11 @@ def _oracle_cases():
         if n == 1:
             continue
         for kappa in (2.0**10, 2.0**20):
-            _, z = more_toraldo(n, kappa, 2000 + n)
+            z = gram(more_toraldo(n, kappa, 2000 + n))
             for kind in ScaleFactorKind:
                 alpha = scale_factor(z, kind, (1.0, kappa))
                 yield pytest.param(z * alpha, 1e-6, 200, id=f"mt-n{n}-k{kappa:g}-{kind.value}")
-    _, z = more_toraldo(32, 2.0**10, 7)
+    z = gram(more_toraldo(32, 2.0**10, 7))
     yield pytest.param(z * scale_factor(z, ScaleFactorKind.TRACE), 1e-300, 4, id="hit-cap")
     yield pytest.param(3.0 * np.eye(4), 1e-6, 200, id="diverged")
     yield pytest.param(np.array([[2.0]]), 1e-6, 200, id="stalled")
@@ -180,7 +180,7 @@ def rescaled_test_matrix(index: int) -> tuple[np.ndarray, float]:
     n = 2 + (mix64(index) % 7)
     u = ((mix64(index + 100) >> 11) + 0.5) * 2.0**-53
     kappa = 2.0 + 18.0 * u
-    _, z = more_toraldo(int(n), kappa, derive_seed(9, index))
+    z = gram(more_toraldo(int(n), kappa, derive_seed(9, index)))
     return z * (2.0 / (1.0 + kappa)), kappa
 
 

@@ -7,9 +7,15 @@ in the assertions.  All randomness is seeded, so reruns are bit-identical.
 
 import hashlib
 import math
+import os
+import platform
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
+import pytest
 from oracles import (
     gaussian_solve,
     iterate_to,
@@ -19,6 +25,7 @@ from oracles import (
     spectral_norm,
 )
 
+import lsqmatch
 from lsqmatch.bench import RECORDS
 from lsqmatch.cli import main as cli_main
 from lsqmatch.generate import derive_seed, more_toraldo, uniform_pattern
@@ -32,18 +39,13 @@ TRIALS = 10
 LAW_EPSILON = 1e-6
 
 
-def _conditioned_matrix(n, kappa, seed):
-    _, z = more_toraldo(n, kappa, seed)
-    return z
-
-
 def _law_counts(kind):
     """Per-cell iteration counts and reference-law value for one scale kind."""
     cells = []
     for n, kappa in LAW_GRID:
         counts = []
         for trial in range(TRIALS):
-            z = _conditioned_matrix(n, kappa, derive_seed(42, trial))
+            z = gram(more_toraldo(n, kappa, derive_seed(42, trial)))
             if kind is ScaleFactorKind.OPTIMAL:
                 law = math.log2(kappa) + 3.0
             elif kind is ScaleFactorKind.TRACE:
@@ -147,7 +149,7 @@ def test_criterion_05_cost_model():
     assert op_count(4) == 15
     assert estimate_time_ms(15) == 75.0
 
-    x, _ = more_toraldo(2, 2.0, derive_seed(5, 0))
+    x = more_toraldo(2, 2.0, derive_seed(5, 0))
     m = uniform_pattern(2, 2, derive_seed(5, 1))
     result = solve_transform(x, m, scale_kind=ScaleFactorKind.OPTIMAL)
     assert result.inversion.converged
@@ -194,7 +196,7 @@ def test_criterion_08_scale_factor_ordering():
         if s % 2 == 0:
             u = ((mix64(s + 500) >> 11) + 0.5) * 2.0**-53
             kappa = 1.0 + 1000.0 * u
-            z = _conditioned_matrix(n, kappa, derive_seed(11, s))
+            z = gram(more_toraldo(n, kappa, derive_seed(11, s)))
         else:
             rows = n * (1 + (mix64(s + 900) % 8))
             z = gram(uniform_pattern(rows, n, derive_seed(13, s)))
@@ -259,6 +261,47 @@ def test_table1_records_match_recorded_digest(tmp_path):
 def test_mt_records_match_recorded_digest(tmp_path):
     """``bench mt --trials 1 --seed 42`` writes the same bytes as recorded (as above)."""
     _assert_recorded_digest(tmp_path, "mt")
+
+
+#: Runs the CLI after checking that OpenBLAS loaded the core named in argv[1].
+_CORE_CHECKED_CLI = """
+import ctypes, sys
+from lsqmatch.cli import main  # imports numpy, which loads OpenBLAS
+path = next(line.split()[-1] for line in open("/proc/self/maps") if "libscipy_openblas" in line)
+corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+corename.argtypes, corename.restype = [], ctypes.c_char_p
+core = corename().decode()
+if core != sys.argv[1]:
+    sys.exit(f"OpenBLAS runs the {core} core, not {sys.argv[1]}")
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.machine() != "x86_64",
+    reason="the Prescott core and /proc/self/maps need Linux on x86-64",
+)
+def test_mt_records_match_recorded_digest_on_prescott_core(tmp_path):
+    """``bench mt --trials 1 --seed 42`` writes the recorded bytes on another BLAS kernel.
+
+    The child runs OpenBLAS's Prescott core, which every x86-64 CPU runs and
+    OpenBLAS reports as Katmai, on one thread; the variables act on the
+    child alone.
+    """
+    out = tmp_path / "mt.csv"
+    src = str(Path(lsqmatch.__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        OPENBLAS_CORETYPE="Prescott",
+        OPENBLAS_NUM_THREADS="1",
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    )
+    argv = ["Katmai", "bench", "mt", "--trials", "1", "--seed", "42", "--out", str(out)]
+    child = subprocess.run(
+        [sys.executable, "-c", _CORE_CHECKED_CLI, *argv], env=env, capture_output=True, text=True
+    )
+    assert child.returncode == 0, child.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TRIALS1_SEED42_SHA256["mt"]
 
 
 def test_criterion_10_benchmark_determinism(mt_records):

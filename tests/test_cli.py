@@ -7,7 +7,7 @@ import lsqmatch.bench as bench
 from lsqmatch.cli import build_parser, main
 from lsqmatch.generate import more_toraldo, uniform_pattern
 from lsqmatch.inverter import EPSILON
-from lsqmatch.matching import MS_PER_OP, SCALE_KIND
+from lsqmatch.matching import MS_PER_OP, SCALE_KIND, solve_transform
 from lsqmatch.matio import format_matrix, load_matrix, save_matrix
 
 
@@ -50,12 +50,12 @@ def test_parser_defaults():
 
 
 def test_gen_mt_matches_library(tmp_path):
-    out = tmp_path / "z.txt"
+    out = tmp_path / "x.txt"
     rc = main(["gen", "mt", "--n", "6", "--kappa", "32", "--seed", "9", "--out", str(out)])
     assert rc == 0
-    _, z = more_toraldo(6, 32.0, 9)
-    assert out.read_text() == format_matrix(z)
-    np.testing.assert_array_equal(load_matrix(out), z)
+    x = more_toraldo(6, 32.0, 9)
+    assert out.read_text() == format_matrix(x)
+    np.testing.assert_array_equal(load_matrix(out), x)
 
 
 def test_gen_uniform_matches_library(tmp_path):
@@ -91,6 +91,23 @@ def test_solve_recovers_transform(tmp_path, capsys, load_text):
     assert captured.err.startswith("iterations=")
     for token in ("ops=", "est_ms=", "distance="):
         assert token in captured.err
+
+
+def test_gen_mt_pattern_solves_round_trip(tmp_path, capsys, load_text):
+    # gen mt writes the pattern X itself, so solve --x on its file works on
+    # X'X, of condition kappa, and recovers the transform M was built with.
+    x_path, m_path = tmp_path / "x.txt", tmp_path / "m.txt"
+    argv = ["gen", "mt", "--n", "16", "--kappa", "1024", "--seed", "7", "--out", str(x_path)]
+    assert main(argv) == 0
+    x = more_toraldo(16, 1024.0, 7)
+    t0 = uniform_pattern(16, 3, 8)
+    save_matrix(m_path, x @ t0)
+
+    assert main(["solve", "--x", str(x_path), "--m", str(m_path)]) == 0
+    captured = capsys.readouterr()
+    assert np.max(np.abs(load_text(captured.out) - t0)) < 1e-6
+    expected = solve_transform(x, load_matrix(m_path))
+    assert captured.err.startswith(f"iterations={expected.inversion.iterations} ")
 
 
 def test_solve_diagnostics_match_op_model(tmp_path, capsys):

@@ -108,7 +108,7 @@ def test_gershgorin_examples():
 def test_scale_factor_dispatch():
     """Every kind is 2/d for its closed-form denominator d, bit for bit."""
     uniform = [gram(uniform_pattern(24, 6, seed)) for seed in (21, 22)]
-    _, mt = more_toraldo(8, 64.0, 5)
+    mt = gram(more_toraldo(8, 64.0, 5))
     for z in (*uniform, mt):
         diag_min = min(np.diag(z))
         row_sum_max = max(np.abs(z).sum(axis=1))
@@ -154,7 +154,7 @@ def test_scale_denominator_overflow_is_rejected():
 def _spd_samples():
     samples = []
     for i, n in enumerate((2, 3, 8, 16)):
-        _, z = more_toraldo(n, 5.0 + 11.0 * i, 1000 + i)
+        z = gram(more_toraldo(n, 5.0 + 11.0 * i, 1000 + i))
         samples.append(z)
         samples.append(gram(uniform_pattern(4 * n, n, 2000 + i)))
     return samples
@@ -195,7 +195,7 @@ def test_rescaled_spectrum_in_region():
 
 def test_scale_invariance_of_diagnostics():
     """Scaling Z by c scales alpha0 by 1/c and leaves the rescaled spectrum fixed."""
-    _, z = more_toraldo(6, 40.0, 555)
+    z = gram(more_toraldo(6, 40.0, 555))
     w = np.linalg.eigvalsh(z)
     base = scale_factor(z, OPTIMAL, (w[0], w[-1]))
     for c in (0.25, 3.0, 1e4):
@@ -245,7 +245,7 @@ def test_scaled_identity_iterates():
 
 def test_conditioned_two_by_two_stops_at_four():
     """Contraction 1/3 needs (1/3)^16 < 1e-6 <= (1/3)^8, so the stop lands on t=4."""
-    _, z = more_toraldo(2, 2.0, 4242)
+    z = gram(more_toraldo(2, 2.0, 4242))
     rep = invert(z * scale_factor(z, ScaleFactorKind.OPTIMAL, (1.0, 2.0)))
     assert rep.converged
     assert rep.iterations == 4
@@ -302,7 +302,7 @@ def test_inverse_quality():
     for index in (0, 5):
         n = 4 + (index % 3)
         kappa = 30.0
-        _, z = more_toraldo(n, kappa, derive_seed(33, index))
+        z = gram(more_toraldo(n, kappa, derive_seed(33, index)))
         alpha = scale_factor(z, ScaleFactorKind.OPTIMAL, (1.0, kappa))
         rep = invert(z * alpha)
         assert rep.converged
@@ -406,7 +406,7 @@ def test_predictor_for_trace_factor():
     """
     for kappa in (1.0, 3.0, 100.0, 2.0**20):
         for n in (2, 5, 64):
-            _, z = more_toraldo(n, kappa, 91)
+            z = gram(more_toraldo(n, kappa, 91))
             alpha = scale_factor(z, ScaleFactorKind.TRACE)
             count = iteration_bound(alpha, alpha * kappa, 1e-6)
             paper = math.log2(abs(math.log(1e-6))) + math.log2(kappa) + math.log2(n) - 1.0
@@ -419,7 +419,7 @@ def test_predictor_for_trace_factor():
 @pytest.mark.parametrize("kind", list(ScaleFactorKind), ids=lambda k: k.value)
 def test_scale_and_invert_is_scale_factor_then_invert(kind, self_scaled):
     """The step gives the bits of scale_factor, then invert(z * alpha), on both families."""
-    _, mt = more_toraldo(16, 1024.0, 5)
+    mt = gram(more_toraldo(16, 1024.0, 5))
     uniform = gram(uniform_pattern(48, 12, 6))
     for z, (low, high) in ((mt, (1.0, 1024.0)), (uniform, extreme_eigenvalues(uniform))):
         for extremes in (None, (low, high), (low / 2.0, 2.0 * high)):
@@ -447,7 +447,7 @@ def test_self_scaled_count_follows_recursion(delta):
 
 def test_self_scaled_never_slower_than_plain():
     for kappa in (2.0**10, 2.0**20):
-        _, z = more_toraldo(32, kappa, 2032)
+        z = gram(more_toraldo(32, kappa, 2032))
         for kind in ScaleFactorKind:
             a = z * scale_factor(z, kind, (1.0, kappa))
             rep = invert(a, self_scaled=True)
@@ -475,7 +475,7 @@ def test_self_scaled_applies_no_gain_at_or_above_one(a):
 
 
 def test_invert_reads_a_read_only_input():
-    _, z = more_toraldo(16, 2.0**10, 12)
+    z = gram(more_toraldo(16, 2.0**10, 12))
     a = z * scale_factor(z, ScaleFactorKind.GERSHGORIN)
     assert a.tobytes() == a.T.copy().tobytes()  # so validation does not copy it
     kept = a.copy()
@@ -513,7 +513,7 @@ def test_newton_schulz_peak_memory():
     # V and two n x n work buffers, allocated once per call, in either mode;
     # validation neither copies the symmetric input nor keeps a temporary.
     n = 128
-    _, z = more_toraldo(n, 2.0**10, 11)
+    z = gram(more_toraldo(n, 2.0**10, 11))
     a = z * scale_factor(z, ScaleFactorKind.TRACE)
     for self_scaled in (False, True):
         tracemalloc.start()

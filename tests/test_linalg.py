@@ -115,7 +115,7 @@ def _gram_inputs():
         yield uniform_pattern(200, 40, 3) * scale
     for n in (16, 64, 256):
         for log2_kappa in (10, 20):
-            yield more_toraldo(n, 2.0**log2_kappa, 1)[0]
+            yield more_toraldo(n, 2.0**log2_kappa, 1)
 
 
 def test_gram_matches_transpose_multiply():
@@ -277,7 +277,7 @@ def test_extreme_eigenvalues_uniform_gram(n, ratio):
 def test_extreme_eigenvalues_conditioned_ladder(n, log2_kappa):
     """The mt ladder runs from 1 to kappa in closed form."""
     kappa = 2.0**log2_kappa
-    _, z = more_toraldo(n, kappa, 4242 + n)
+    z = la.gram(more_toraldo(n, kappa, 4242 + n))
     _assert_extremes(z, 1.0, kappa)
 
 
@@ -548,7 +548,7 @@ def test_entrywise_below_spectral():
 def test_spectral_norm_of_rescaled_residual():
     """I - alpha0*Z has spectrum -+(kappa-1)/(kappa+1) at its ends by construction."""
     kappa = 24.0
-    _, z = more_toraldo(8, kappa, 777)
+    z = la.gram(more_toraldo(8, kappa, 777))
     a = z * scale_factor(z, ScaleFactorKind.OPTIMAL, (1.0, kappa))
     resid = la.symmetrize(np.eye(8) - a)
     expected = (kappa - 1.0) / (kappa + 1.0)
